@@ -14,7 +14,7 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConfigError, FormatError, InputError, NumericalAbort
+from .errors import ConfigError, DimensionError, FormatError, InputError, NumericalAbort
 
 GRAD_TOLERANCE = 1e-4
 
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
         _pin_threads(args.threads)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as e:
+    except (ConfigError, DimensionError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as e:

@@ -7,17 +7,23 @@ bias sums) accumulates in double precision and the result is cast back to
 the working dtype. Passing float64 inputs therefore runs the whole kernel
 in double precision, which is what the gradient-check suite does.
 
-Convolution is cross-correlation (no kernel mirroring) with zero padding.
+Convolution is cross-correlation (no kernel mirroring) with zero padding,
+lowered to a GEMM against a channel-major [C*k*k, N*H'*W'] column matrix,
+so the product comes out as [O, N, H', W'] and needs one transpose. Conv and
+pool outputs and gradients are C-contiguous NCHW arrays.
+
 Max-pooling breaks ties deterministically: the first maximum in a row-major
-scan of the window wins.
+scan of the window wins, and a window holding NaN yields its first NaN, as
+np.argmax does. The pool backward scatter sums overlapping windows in double
+precision as well; with non-overlapping windows it only places values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import ConsistencyError, DimensionError, InputError
 
 
 def _working_dtype(*arrays) -> np.dtype:
@@ -69,13 +75,6 @@ class ConvParams:
         return self.weights.shape[2]
 
 
-@dataclass
-class PReluParams:
-    """Learnable negative-half slope, one value per channel."""
-
-    slope: np.ndarray = field(default_factory=lambda: np.full(1, 0.25, np.float32))
-
-
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
@@ -90,23 +89,26 @@ def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """Return ([N*H'*W', C*k*k] float64 column matrix, H', W')."""
+    """Return ([C*k*k, N*H'*W'] float64 column matrix, H', W').
+
+    Rows are channel-major (c, ki, kj); columns run over (n, i, j), so a
+    GEMM against it yields [O, N, H', W'] directly.
+    """
     n, c, h, w = x.shape
     h_out = conv_output_size(h, k, stride, pad)
     w_out = conv_output_size(w, k, stride, pad)
-    xp = x
-    if pad > 0:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x
-    s0, s1, s2, s3 = xp.strides
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    sc, sn, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, h_out, w_out, k, k),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        shape=(c, k, k, n, h_out, w_out),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
         writeable=False,
     )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c * k * k)
-    return np.asarray(cols, dtype=np.float64), h_out, w_out
+    # a single copy gathers the windows and upcasts them
+    cols = np.ascontiguousarray(windows, dtype=np.float64)
+    return cols.reshape(c * k * k, n * h_out * w_out), h_out, w_out
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -118,40 +120,46 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
             f"input channel axis has {x.shape[1]} channels, "
             f"weights expect {params.in_channels}")
     n = x.shape[0]
-    k = params.kernel_size
-    cols, h_out, w_out = _im2col(x, k, params.stride, params.pad)
-    w_mat = np.asarray(params.weights.reshape(params.out_channels, -1), dtype=np.float64)
-    y = cols @ w_mat.T + np.asarray(params.bias, dtype=np.float64)
-    y = y.reshape(n, h_out, w_out, params.out_channels).transpose(0, 3, 1, 2)
-    return y.astype(_working_dtype(x, params.weights), copy=False)
+    o = params.out_channels
+    cols, h_out, w_out = _im2col(x, params.kernel_size, params.stride, params.pad)
+    w_mat = np.asarray(params.weights.reshape(o, -1), dtype=np.float64)
+    y = (w_mat @ cols).reshape(o, n, h_out, w_out)
+    del cols  # lowers the peak: the output is allocated next
+    bias = np.asarray(params.bias, dtype=np.float64)[:, None, None]
+    out = np.empty((n, o, h_out, w_out), dtype=_working_dtype(x, params.weights))
+    np.add(y.transpose(1, 0, 2, 3), bias, out=out, casting="same_kind")
+    return out
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams):
     """Gradients of the convolution: (grad_input, grad_weights, grad_bias)."""
     n, c, h, w = x.shape
+    o = params.out_channels
     k = params.kernel_size
     stride, pad = params.stride, params.pad
     cols, h_out, w_out = _im2col(x, k, stride, pad)
-    if grad_out.shape != (n, params.out_channels, h_out, w_out):
+    if grad_out.shape != (n, o, h_out, w_out):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match forward output "
-            f"{(n, params.out_channels, h_out, w_out)}")
+            f"{(n, o, h_out, w_out)}")
     dt = _working_dtype(x, params.weights)
 
-    g = np.asarray(grad_out.transpose(0, 2, 3, 1).reshape(-1, params.out_channels),
-                   dtype=np.float64)
-    grad_bias = g.sum(axis=0)
-    grad_weights = (g.T @ cols).reshape(params.weights.shape)
+    g = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3), dtype=np.float64).reshape(o, -1)
+    grad_bias = g.sum(axis=1)
+    grad_weights = (g @ cols.T).reshape(params.weights.shape)
+    del cols  # lowers the peak: gcols is the same size
 
-    w_mat = np.asarray(params.weights.reshape(params.out_channels, -1), dtype=np.float64)
-    gcols = (g @ w_mat).reshape(n, h_out, w_out, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-    gx_pad = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    w_mat = np.asarray(params.weights.reshape(o, -1), dtype=np.float64)
+    gcols = (w_mat.T @ g).reshape(c, k, k, n, h_out, w_out)
+    gx_pad = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float64)
     for i in range(k):
         for j in range(k):
             gx_pad[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] \
-                += gcols[:, :, i, j]
-    grad_input = gx_pad[:, :, pad:pad + h, pad:pad + w]
-    return (grad_input.astype(dt, copy=False),
+                += gcols[:, i, j]
+    grad_input = np.empty((n, c, h, w), dtype=dt)
+    np.copyto(grad_input, gx_pad[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3),
+              casting="same_kind")
+    return (grad_input,
             grad_weights.astype(dt, copy=False),
             grad_bias.astype(dt, copy=False))
 
@@ -165,7 +173,8 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int):
 
     argmax_indices holds, per output element, the flat index of the winner
     inside its H*W input plane; first occurrence in row-major window order
-    wins on ties.
+    wins on ties, and a window holding NaN yields NaN at its first NaN, as
+    np.argmax does.
     """
     if x.ndim != 4:
         raise DimensionError(f"pool input must be 4-d [N,C,H,W], got shape {x.shape}")
@@ -175,42 +184,51 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int):
             f"pool window {window} exceeds input spatial size {h}x{w}")
     h_out = (h - window) // stride + 1
     w_out = (w - window) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, h_out, w_out, window, window),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, h_out, w_out, window * window)
-    local = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, local[..., None], axis=-1)[..., 0].copy()
-    rows = np.arange(h_out)[:, None] * stride
-    cols = np.arange(w_out)[None, :] * stride
-    argmax = (rows[None, None] + local // window) * w + (cols[None, None] + local % window)
+    # one strided view per window position, in row-major window order
+    views = [x[:, :, a:a + stride * (h_out - 1) + 1:stride,
+               b:b + stride * (w_out - 1) + 1:stride]
+             for a in range(window) for b in range(window)]
+    y = views[0].copy()
+    for v in views[1:]:
+        np.maximum(y, v, out=y)
+    # The winner's position in the window is the number of leading positions
+    # that miss the maximum. np.maximum propagates NaN, so in a NaN window a
+    # position misses unless it holds NaN.
+    nan_out = y != y
+    has_nan = bool(nan_out.any())
+    local = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))
+    missed = np.ones(y.shape, dtype=bool)
+    miss = np.empty(y.shape, dtype=bool)
+    for v in views[:-1]:
+        np.less(v, y, out=miss)
+        if has_nan:
+            miss |= nan_out & (v == v)
+        missed &= miss
+        local += missed
+    plane_offset = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
+    argmax = plane_offset.take(local)
+    argmax += (np.arange(h_out)[:, None] * (stride * w)
+               + np.arange(w_out)[None, :] * stride)
     return y, argmax
 
 
 def maxpool2d_backward(grad_out: np.ndarray, argmax_indices: np.ndarray,
                        input_shape) -> np.ndarray:
-    """Scatter grad_out to the recorded winner positions (accumulating)."""
+    """Scatter grad_out to the recorded winner positions, summing in float64
+    where windows overlap."""
     n, c, h, w = input_shape
     if grad_out.shape != argmax_indices.shape:
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match argmax shape "
             f"{argmax_indices.shape}")
     if argmax_indices.size and (argmax_indices.min() < 0 or argmax_indices.max() >= h * w):
-        from .errors import ConsistencyError
         raise ConsistencyError(
             f"argmax indices out of range for input plane of {h * w} elements; "
             "stale cache?")
-    grad_input = np.zeros((n, c, h * w), dtype=grad_out.dtype)
-    np.add.at(grad_input,
-              (np.arange(n)[:, None, None, None],
-               np.arange(c)[None, :, None, None],
-               argmax_indices),
-              grad_out)
-    return grad_input.reshape(n, c, h, w)
+    plane = (np.arange(n * c, dtype=np.intp) * (h * w)).reshape(n, c, 1, 1)
+    grad_input = np.bincount((plane + argmax_indices).ravel(), weights=grad_out.ravel(),
+                             minlength=n * c * h * w)
+    return grad_input.astype(grad_out.dtype, copy=False).reshape(n, c, h, w)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +118,22 @@ def test_train_requires_dataset(tmp_path, capsys):
     cfg_path, _ = _config(tmp_path, dataset=None)
     assert cli.main(["train", "--config", cfg_path]) == 2
     assert "dataset" in capsys.readouterr().err
+
+
+def test_train_pool_window_exceeding_input_exit_code(tmp_path):
+    cfg_path, _ = _config(tmp_path, network={
+        "input_shape": [1, 28, 28],
+        "layers": [{"kind": "maxpool", "window": 40},
+                   {"kind": "flatten"},
+                   {"kind": "fc", "out_features": 4}]})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    p = subprocess.run([sys.executable, "-m", "spinconv", "train", "--config", cfg_path],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert p.returncode == 2, p.stderr
+    assert "error:" in p.stderr
+    assert "Traceback" not in p.stderr
 
 
 def test_threads_must_be_positive(capsys):

@@ -169,6 +169,82 @@ def test_maxpool_composed_finite_differences():
     assert np.abs(num[ana == 0]).max() <= 1e-9
 
 
+def _pool_windows(x, window, stride):
+    """[N, C, H', W', window*window] windows in row-major window order."""
+    n, c, h, w = x.shape
+    h_out = (h - window) // stride + 1
+    w_out = (w - window) // stride + 1
+    rows = (np.arange(h_out) * stride)[:, None, None, None] + np.arange(window)[:, None]
+    cols = (np.arange(w_out) * stride)[None, :, None, None] + np.arange(window)
+    win = x[:, :, rows, cols]                        # [N, C, H', W', window, window]
+    plane = rows * w + cols
+    return (win.reshape(n, c, h_out, w_out, -1),
+            np.broadcast_to(plane, (h_out, w_out, window, window)).reshape(h_out, w_out, -1))
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("hw", [(6, 6), (7, 8)])
+def test_maxpool_matches_oracle_with_planted_ties(window, stride, hw):
+    rng = np.random.default_rng(100 * window + 10 * stride + hw[1])
+    # few distinct values: most windows hold their maximum more than once
+    x = rng.integers(0, 3, size=(2, 2) + hw).astype(np.float64)
+    x[0, 0, :3, :3] = 5.0                            # constant window
+    x[1, 1, 0, 0] = x[1, 1, 1, 1] = x[1, 1, 2, 2] = 9.0  # equal maxima further on
+    y, arg = tc.maxpool2d_forward(x, window, stride)
+    ref_y, ref_arg = oracle.naive_maxpool(x, window, stride)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(arg, ref_arg)
+
+
+@pytest.mark.parametrize("window,stride", [(2, 2), (3, 2), (3, 1)])
+def test_maxpool_nan_window_matches_np_argmax(window, stride):
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(2, 3, 7, 7))
+    x[0, 0, 0, 1] = x[0, 0, 1, 0] = np.nan           # two NaNs in the first window
+    x[1, 2, 4, 4] = np.nan
+    x[1, 2, 5, 6] = np.inf
+    y, arg = tc.maxpool2d_forward(x, window, stride)
+    win, plane = _pool_windows(x, window, stride)
+    local = win.argmax(axis=-1)
+    ref_y = np.take_along_axis(win, local[..., None], axis=-1)[..., 0]
+    ref_arg = np.take_along_axis(np.broadcast_to(plane, win.shape), local[..., None],
+                                 axis=-1)[..., 0]
+    assert np.isnan(y[0, 0, 0, 0]) and arg[0, 0, 0, 0] == 1
+    assert np.array_equal(y, ref_y, equal_nan=True)
+    assert np.array_equal(arg, ref_arg)
+
+
+@pytest.mark.parametrize("window,stride", [(2, 2), (3, 3), (2, 3)])
+def test_maxpool_backward_bitwise_equals_add_at(window, stride):
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(3, 4, 9, 11)).astype(np.float32)
+    y, arg = tc.maxpool2d_forward(x, window, stride)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    n, c = x.shape[:2]
+    ref = np.zeros((n, c, x.shape[2] * x.shape[3]), dtype=np.float32)
+    np.add.at(ref, (np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None], arg),
+              g)
+    got = tc.maxpool2d_backward(g, arg, x.shape)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, ref.reshape(x.shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_and_pool_outputs_c_contiguous_in_working_dtype(dtype):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(2, 3, 8, 8)).astype(dtype)
+    p = tc.ConvParams(weights=rng.normal(size=(4, 3, 3, 3)).astype(dtype),
+                      bias=rng.normal(size=4).astype(dtype), stride=1, pad=1)
+    y = tc.conv2d_forward(x, p)
+    grads = tc.conv2d_backward(rng.normal(size=y.shape).astype(dtype), x, p)
+    pooled, arg = tc.maxpool2d_forward(y, 2, 2)
+    gpool = tc.maxpool2d_backward(pooled, arg, y.shape)
+    for out in (y, *grads, pooled, gpool):
+        assert out.dtype == dtype
+        assert out.flags.c_contiguous
+
+
 def test_fc_identity_and_bias():
     x = np.random.default_rng(8).normal(size=(3, 4))
     y = tc.fc_forward(x, np.eye(4), np.zeros(4))
