@@ -3,7 +3,9 @@ the seed, and the mode flags.
 
 Binary layout: 8-byte magic "SPINCONV", little-endian u32 format version
 (currently 1), little-endian u32 header length, UTF-8 JSON header, then the
-tensors as raw little-endian float32 in header order.
+tensors as raw little-endian float32 in header order. A file that lacks a
+parameter tensor of the rebuilt network, or has bytes after the last
+tensor, is refused.
 """
 from __future__ import annotations
 
@@ -125,5 +127,10 @@ def load_checkpoint(path):
                     f"checkpoint tensor {key} has shape {shape}, network "
                     f"expects {target.shape} ({path})")
             target[...] = arr
+            del params[key]
+        if params:
+            raise FormatError(f"checkpoint lacks tensors {sorted(params)} ({path})")
+        if f.read(1):
+            raise FormatError(f"trailing bytes after the last tensor in {path}")
     meta = {"mean_image": mean_image, "header": header}
     return net, meta

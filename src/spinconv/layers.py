@@ -4,12 +4,11 @@ split mode, and orientation-pooling convolution (rotate / flip-rotate).
 Layers hold parameters and accumulated gradients but no per-call activation
 state: `forward(x, cache)` writes whatever the matching backward needs into
 the caller-owned `cache` dict, and `backward(grad_out, cache)` reads it back
-and adds parameter gradients into `layer.grads`. The training walker owns
-one cache per layer per branch, which is what lets split-dropout branches
-share every layer object while keeping their activations separate.
+and adds parameter gradients into `layer.grads`.
 
-Dropout layers are orchestrated by the training module (the split requires
-forking the activation stream); calling their forward directly is an error.
+Split-mode dropout maps R rows to 2R rows, the masked rows stacked over
+their complement, so every later layer runs both branches of the split as
+one batch through the same weights.
 """
 from __future__ import annotations
 
@@ -89,11 +88,13 @@ class DropoutLayer(Layer):
     """Dropout in standard or split mode.
 
     Standard mode multiplies activations by a Bernoulli(p) keep-mask drawn
-    once per batch. Split mode instead partitions the activation into the
-    masked part and its complement and forwards both through the same
-    downstream weights; that forking lives in the training module. Split
-    mode demands p = 0.5 because the two-branch loss identity only holds
-    when a mask and its complement are equally likely.
+    once per batch. Split mode keeps the masked part and its complement,
+    stacked as [m*x; (1-m)*x], so both run through the same downstream
+    weights. Split mode demands p = 0.5 because the two-branch loss identity
+    only holds when a mask and its complement are equally likely.
+
+    forward uses `cache["mask"]` when the caller pinned one (a Mask or 0/1
+    bits) and draws a fresh mask from the layer's own stream otherwise.
     """
 
     kind = "dropout"
@@ -116,10 +117,28 @@ class DropoutLayer(Layer):
         return Mask(bits=bits, p=self.p)
 
     def forward(self, x, cache):
-        raise ConsistencyError(
-            "dropout layers are driven by the training walker, not called directly")
+        mask = cache.get("mask")
+        if mask is not None and not isinstance(mask, Mask):
+            mask = Mask(bits=np.asarray(mask, dtype=np.float32), p=self.p)
+        if self.mode == "split":
+            y, mask = sdropout_forward(x, self, mask)
+        else:
+            y, mask = dropout_forward_standard(x, self, True, mask)
+        cache["mask"] = mask
+        return y
 
-    backward = forward
+    def backward(self, grad_out, cache):
+        if "mask" not in cache:
+            raise ConsistencyError("dropout backward called without a matching forward")
+        if self.mode == "split":
+            return sdropout_backward(grad_out, cache["mask"])
+        return grad_out * cache["mask"].bits.astype(grad_out.dtype, copy=False)
+
+
+def _check_mask(mask: Mask, units: int):
+    if len(mask) != units:
+        raise DimensionError(
+            f"mask length {len(mask)} does not match unit count {units}")
 
 
 def dropout_forward_standard(y: np.ndarray, layer: DropoutLayer, training: bool,
@@ -133,40 +152,38 @@ def dropout_forward_standard(y: np.ndarray, layer: DropoutLayer, training: bool,
         return y, None
     if mask is None:
         mask = layer.draw_mask(y.shape[1])
-    if len(mask) != y.shape[1]:
-        raise DimensionError(
-            f"mask length {len(mask)} does not match unit count {y.shape[1]}")
+    _check_mask(mask, y.shape[1])
     return y * mask.bits.astype(y.dtype, copy=False), mask
 
 
 def sdropout_forward(y: np.ndarray, layer: DropoutLayer, mask: Mask = None):
-    """Split the activation into its masked part and the complement part.
+    """Split the activation into its masked part stacked over the complement.
 
-    Returns (y1, y2, mask) with y1 = m * y and y2 = (1 - m) * y, so
-    y1 + y2 == y holds bitwise. Both halves are forwarded through the same
-    downstream weights by the training walker.
+    Returns (stacked, mask) where stacked[:R] = m * y and stacked[R:] =
+    (1 - m) * y for R rows of y, so the two halves add back to y bitwise.
     """
     if layer.mode != "split":
         raise ConfigError("sdropout_forward requires a layer in split mode")
     if mask is None:
         mask = layer.draw_mask(y.shape[1])
-    if len(mask) != y.shape[1]:
-        raise DimensionError(
-            f"mask length {len(mask)} does not match unit count {y.shape[1]}")
+    _check_mask(mask, y.shape[1])
     bits = mask.bits.astype(y.dtype, copy=False)
-    return y * bits, y * (1 - bits), mask
+    r = y.shape[0]
+    out = np.empty((2 * r,) + y.shape[1:], dtype=np.result_type(y, bits))
+    np.multiply(y, bits, out=out[:r])
+    np.multiply(y, 1 - bits, out=out[r:])
+    return out, mask
 
 
-def sdropout_backward(grad_y1: np.ndarray, grad_y2: np.ndarray, mask: Mask):
-    """Merge branch gradients: m * grad_y1 + (1 - m) * grad_y2."""
-    if grad_y1.shape != grad_y2.shape:
+def sdropout_backward(grad: np.ndarray, mask: Mask):
+    """Merge the stacked branch gradients: m * grad[:R] + (1 - m) * grad[R:]."""
+    if grad.shape[0] % 2:
         raise DimensionError(
-            f"branch gradient shapes differ: {grad_y1.shape} vs {grad_y2.shape}")
-    if len(mask) != grad_y1.shape[1]:
-        raise DimensionError(
-            f"mask length {len(mask)} does not match unit count {grad_y1.shape[1]}")
-    bits = mask.bits.astype(grad_y1.dtype, copy=False)
-    return grad_y1 * bits + grad_y2 * (1 - bits)
+            f"stacked split gradient needs an even row count, got {grad.shape[0]}")
+    _check_mask(mask, grad.shape[1])
+    r = grad.shape[0] // 2
+    bits = mask.bits.astype(grad.dtype, copy=False)
+    return grad[:r] * bits + grad[r:] * (1 - bits)
 
 
 # ---------------------------------------------------------------------------

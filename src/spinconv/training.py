@@ -1,12 +1,14 @@
-"""Training: branch enumeration for split dropout, SGD with momentum,
-weight initialization, and the test-time conversion.
+"""Training: the split-dropout training pass, SGD with momentum, weight
+initialization, and the test-time conversion.
 
 A network with n split-mode dropout layers defines 2^n subnetworks per
-step: at every split layer the live activation forks into the masked part
-and its complement, and both continue through the same downstream layers.
-The step loss is the arithmetic mean of the per-branch cross-entropy
-losses, so every parameter receives gradient every step. One mask is drawn
-per dropout layer per batch and shared by all branches that reach it.
+step. Each split layer stacks the masked part of its input over the
+complement, so training is one forward chain over a batch that has grown
+to 2^n blocks of N rows, and one backward chain back. Block j took the
+complement at split s exactly when bit s of j is set. The step loss is the
+arithmetic mean of the per-block cross-entropy losses, so every parameter
+receives gradient every step. One mask is drawn per dropout layer per batch,
+in layer order, and shared by all blocks that reach it.
 """
 from __future__ import annotations
 
@@ -18,10 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, ConsistencyError, InputError, NumericalAbort
 from .layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
-                     FrpcConvLayer, Mask, MaxPoolLayer, Network, NetworkSpec,
-                     PReluLayer, ReluLayer, RpcConvLayer,
-                     dropout_forward_standard, sdropout_backward,
-                     sdropout_forward)
+                     FrpcConvLayer, MaxPoolLayer, Network, NetworkSpec,
+                     PReluLayer, ReluLayer, RpcConvLayer)
 from .tensor_core import conv_output_size, softmax, softmax_cross_entropy
 
 WEIGHT_INIT_STD = 0.01
@@ -104,6 +104,8 @@ def _build_layer(desc: dict, shape, rng_select, rng_mask_seeds, dtype):
         out = (out_ch, conv_output_size(h, k, stride, pad),
                conv_output_size(w, k, stride, pad))
     elif kind == "maxpool":
+        if len(shape) != 3:
+            raise ConfigError(f"maxpool layer needs image input, got shape {shape}")
         c, h, w = shape
         win = int(need("window"))
         stride = int(need("stride", win))
@@ -121,6 +123,8 @@ def _build_layer(desc: dict, shape, rng_select, rng_mask_seeds, dtype):
         out_f = int(need("out_features"))
         layer, out = FcLayer(shape[0], out_f, dtype=dtype), (out_f,)
     elif kind == "dropout":
+        if len(shape) != 1:
+            raise ConfigError(f"dropout layer needs flat input, got shape {shape}")
         layer = DropoutLayer(p=float(need("p", 0.5)),
                              mode=str(need("mode", "standard")),
                              rng=np.random.default_rng(rng_mask_seeds.pop(0)))
@@ -164,75 +168,43 @@ def init_weights(spec: NetworkSpec, seed: int, dtype=np.float32) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# Branched forward / backward
+# Training forward / backward
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BranchSet:
-    """The 2^n activation streams of one training forward pass.
+    """One training forward pass: the stacked logits of the 2^n branches
+    and the per-layer caches the backward pass reads.
 
-    Each branch is tagged with its mask-sign path: +1 where it took the
-    masked side of a split layer, -1 where it took the complement.
+    `branches` tags each block with its mask-sign path: +1 where it took
+    the masked side of a split layer, -1 where it took the complement.
     """
 
-    branches: list            # leaf records, in deterministic DFS order
-    root: dict                # segment tree used by backward_training
     net: Network
     n_split: int
     loss: float
     masks: dict               # layer index -> Mask used this step
+    logits: np.ndarray        # [2^n * N, K], block-major
+    caches: list              # one dict per layer
+    block_losses: list
+    ce_grad: np.ndarray       # d loss / d logits
     input_grad: np.ndarray = None  # set by backward_training
 
     def __len__(self):
-        return len(self.branches)
+        return 2 ** self.n_split
 
-
-def _mask_for(net, masks, idx, width, pinned):
-    if idx in masks:
-        return masks[idx]
-    layer = net.layers[idx]
-    if pinned is not None and idx in pinned:
-        m = pinned[idx]
-        if not isinstance(m, Mask):
-            m = Mask(bits=np.asarray(m, dtype=np.float32), p=layer.p)
-        masks[idx] = m
-    else:
-        masks[idx] = layer.draw_mask(width)
-    return masks[idx]
-
-
-def _walk(net, idx, act, labels, masks, pinned, path, leaves):
-    caches = []
-    i = idx
-    while i < len(net.layers):
-        layer = net.layers[i]
-        if isinstance(layer, DropoutLayer):
-            mask = _mask_for(net, masks, i, act.shape[1], pinned)
-            if layer.mode == "split":
-                y1, y2, _ = sdropout_forward(act, layer, mask)
-                node = {"kind": "split", "layer": i, "mask": mask, "caches": caches}
-                node["kept"] = _walk(net, i + 1, y1, labels, masks, pinned,
-                                     path + (+1,), leaves)
-                node["complement"] = _walk(net, i + 1, y2, labels, masks, pinned,
-                                           path + (-1,), leaves)
-                return node
-            act, _ = dropout_forward_standard(act, layer, True, mask)
-            caches.append((i, {"mask": mask}))
-        else:
-            cache = {}
-            act = layer.forward(act, cache)
-            caches.append((i, cache))
-        i += 1
-    loss, grad = softmax_cross_entropy(act, labels)
-    leaf = {"kind": "leaf", "path": path, "logits": act, "loss": loss,
-            "ce_grad": grad, "caches": caches}
-    leaves.append(leaf)
-    return leaf
+    @property
+    def branches(self):
+        """Per-branch records {path, logits, loss}; logits are views."""
+        rows = self.logits.shape[0] // len(self)
+        return [{"path": tuple(-1 if j >> s & 1 else +1 for s in range(self.n_split)),
+                 "logits": self.logits[j * rows:(j + 1) * rows],
+                 "loss": self.block_losses[j]} for j in range(len(self))]
 
 
 def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
                      pinned_masks: dict = None):
-    """Run the branched training forward pass.
+    """Run the training forward pass.
 
     Returns (loss, BranchSet) where loss is the mean of the per-branch
     cross-entropy losses (2^n branches for n split layers). pinned_masks
@@ -241,54 +213,50 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
     """
     if net.inference:
         raise ConsistencyError("network was converted for inference; cannot train")
-    masks, leaves = {}, []
-    root = _walk(net, 0, batch, labels, masks, pinned_masks, (), leaves)
+    pinned = pinned_masks or {}
+    caches = [{"mask": pinned[i]} if i in pinned else {} for i in range(len(net.layers))]
+    act = batch
+    for layer, cache in zip(net.layers, caches):
+        act = layer.forward(act, cache)
     n_split = len(net.split_layers())
-    if len(leaves) != 2 ** n_split:
+    blocks, rows = 2 ** n_split, len(labels)
+    if act.shape[0] != blocks * rows:
         raise ConsistencyError(
-            f"branch bookkeeping error: {len(leaves)} leaves for {n_split} split layers")
-    loss = math.fsum(l["loss"] for l in leaves) / len(leaves)
-    return loss, BranchSet(branches=leaves, root=root, net=net,
-                           n_split=n_split, loss=loss, masks=masks)
-
-
-def _backprop(node, net, scale):
-    if node["kind"] == "leaf":
-        g = node["ce_grad"] * scale
-    else:
-        g1 = _backprop(node["kept"], net, scale)
-        g2 = _backprop(node["complement"], net, scale)
-        g = sdropout_backward(g1, g2, node["mask"])
-    for i, cache in reversed(node["caches"]):
-        layer = net.layers[i]
-        if isinstance(layer, DropoutLayer):
-            g = g * cache["mask"].bits.astype(g.dtype, copy=False)
-        else:
-            g = layer.backward(g, cache)
-    return g
+            f"{act.shape[0]} logit rows for {blocks} blocks of {rows} labels")
+    block_losses, grads = [], []
+    for j in range(blocks):
+        loss, grad = softmax_cross_entropy(act[j * rows:(j + 1) * rows], labels)
+        block_losses.append(loss)
+        grads.append(grad)
+    ce_grad = np.concatenate(grads)
+    ce_grad *= 1.0 / blocks
+    loss = math.fsum(block_losses) / blocks
+    masks = {i: caches[i]["mask"] for i in net.dropout_layers()}
+    return loss, BranchSet(net=net, n_split=n_split, loss=loss, masks=masks,
+                           logits=act, caches=caches, block_losses=block_losses,
+                           ce_grad=ce_grad)
 
 
 def backward_training(branch_set: BranchSet):
-    """Backpropagate every branch and accumulate parameter gradients.
+    """Backpropagate the stacked batch and accumulate parameter gradients.
 
-    Branch gradients are averaged (each leaf weighted 1/2^n, matching the
-    loss), so layer.grads afterwards holds the exact gradient of the
-    returned loss. Returns {(layer_index, name): gradient} for inspection.
+    Each block's gradient is weighted 1/2^n, matching the loss, so
+    layer.grads afterwards holds the exact gradient of the returned loss.
+    Returns {(layer_index, name): gradient} for inspection.
     """
     net = branch_set.net
-    branch_set.input_grad = _backprop(branch_set.root, net,
-                                      1.0 / len(branch_set.branches))
+    g = branch_set.ce_grad
+    for layer, cache in zip(reversed(net.layers), reversed(branch_set.caches)):
+        g = layer.backward(g, cache)
+    branch_set.input_grad = g
     return {(i, name): net.layers[i].grads[name]
             for i, name, _ in net.named_params()}
 
 
 def mean_branch_probabilities(branch_set: BranchSet) -> np.ndarray:
     """Softmax probabilities averaged over all branches of the step."""
-    acc = None
-    for leaf in branch_set.branches:
-        p = np.asarray(softmax(leaf["logits"]), dtype=np.float64)
-        acc = p if acc is None else acc + p
-    return acc / len(branch_set.branches)
+    p = np.asarray(softmax(branch_set.logits), dtype=np.float64)
+    return p.reshape(len(branch_set), -1, p.shape[1]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,26 @@ def test_shape_mismatch_is_rejected(tmp_path):
     _tamper_header(path, transpose_fc)
     with pytest.raises(FormatError, match="shape"):
         ck.load_checkpoint(str(path))
+
+
+def test_missing_tensor_is_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    ck.save_checkpoint(_net(), str(path))
+    last = {}
+
+    def drop_last(header):
+        last.update(header["tensors"].pop())
+
+    _tamper_header(path, drop_last)
+    assert last == {"layer": 6, "name": "bias", "shape": [3]}
+    path.write_bytes(path.read_bytes()[:-4 * 3])  # and its payload
+    with pytest.raises(FormatError, match="lacks"):
+        ck.load_checkpoint(str(path))
+
+
+def test_trailing_bytes_are_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    ck.save_checkpoint(_net(), str(path))
+    path.write_bytes(path.read_bytes() + b"\0" * 4)
+    with pytest.raises(FormatError, match="trailing"):
+        ck.load_checkpoint(str(path))

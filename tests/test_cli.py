@@ -120,12 +120,8 @@ def test_train_requires_dataset(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
-def test_train_pool_window_exceeding_input_exit_code(tmp_path):
-    cfg_path, _ = _config(tmp_path, network={
-        "input_shape": [1, 28, 28],
-        "layers": [{"kind": "maxpool", "window": 40},
-                   {"kind": "flatten"},
-                   {"kind": "fc", "out_features": 4}]})
+def _assert_config_error_exit(cfg_path):
+    """`spinconv train` in a fresh process exits 2 with an error line."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -134,6 +130,30 @@ def test_train_pool_window_exceeding_input_exit_code(tmp_path):
     assert p.returncode == 2, p.stderr
     assert "error:" in p.stderr
     assert "Traceback" not in p.stderr
+
+
+def test_train_pool_window_exceeding_input_exit_code(tmp_path):
+    cfg_path, _ = _config(tmp_path, network={
+        "input_shape": [1, 28, 28],
+        "layers": [{"kind": "maxpool", "window": 40},
+                   {"kind": "flatten"},
+                   {"kind": "fc", "out_features": 4}]})
+    _assert_config_error_exit(cfg_path)
+
+
+@pytest.mark.parametrize("layers", [
+    [{"kind": "flatten"},
+     {"kind": "maxpool", "window": 2},
+     {"kind": "fc", "out_features": 4}],
+    [{"kind": "conv", "out_channels": 6, "kernel": 23},
+     {"kind": "dropout"},
+     {"kind": "flatten"},
+     {"kind": "fc", "out_features": 4}],
+], ids=["maxpool_on_flat", "dropout_on_image"])
+def test_train_layer_input_rank_exit_code(tmp_path, layers):
+    cfg_path, _ = _config(tmp_path, network={"input_shape": [1, 28, 28],
+                                             "layers": layers})
+    _assert_config_error_exit(cfg_path)
 
 
 def test_threads_must_be_positive(capsys):

@@ -52,7 +52,8 @@ def test_standard_dropout_inference_passthrough():
 def test_sdropout_elementwise_example():
     y = np.array([[1.0, 2.0, 3.0, 4.0]], np.float32)
     layer = DropoutLayer(p=0.5, mode="split", rng=np.random.default_rng(1))
-    y1, y2, _ = sdropout_forward(y, layer, _mask([1, 0, 1, 0]))
+    out, _ = sdropout_forward(y, layer, _mask([1, 0, 1, 0]))
+    y1, y2 = out[:1], out[1:]
     assert np.array_equal(y1, np.array([[1.0, 0.0, 3.0, 0.0]], np.float32))
     assert np.array_equal(y2, np.array([[0.0, 2.0, 0.0, 4.0]], np.float32))
 
@@ -60,7 +61,8 @@ def test_sdropout_elementwise_example():
 def test_sdropout_degenerate_all_ones():
     y = np.random.default_rng(3).normal(size=(2, 6)).astype(np.float32)
     layer = DropoutLayer(p=0.5, mode="split", rng=np.random.default_rng(1))
-    y1, y2, _ = sdropout_forward(y, layer, _mask(np.ones(6)))
+    out, _ = sdropout_forward(y, layer, _mask(np.ones(6)))
+    y1, y2 = out[:2], out[2:]
     assert np.array_equal(y1, y)
     assert not y2.any()
 
@@ -71,26 +73,30 @@ def test_sdropout_split_identity_property(seed, n, d):
     rng = np.random.default_rng(seed)
     y = rng.normal(0, 5, (n, d)).astype(np.float32)
     layer = DropoutLayer(p=0.5, mode="split", rng=np.random.default_rng(seed + 1))
-    y1, y2, _ = sdropout_forward(y, layer)
+    out, _ = sdropout_forward(y, layer)
+    assert out.shape == (2 * n, d)
+    y1, y2 = out[:n], out[n:]
     assert np.array_equal(y1 + y2, y)
 
 
 def test_sdropout_backward_complementary_partition():
     g = np.random.default_rng(4).normal(size=(3, 5)).astype(np.float32)
     m = _mask([1, 0, 0, 1, 1])
-    assert np.array_equal(sdropout_backward(g, g, m), g)
+    assert np.array_equal(sdropout_backward(np.concatenate((g, g)), m), g)
 
 
 def test_sdropout_backward_all_ones_mask():
     g1 = np.random.default_rng(5).normal(size=(2, 4)).astype(np.float32)
-    out = sdropout_backward(g1, np.zeros_like(g1), _mask(np.ones(4)))
+    out = sdropout_backward(np.concatenate((g1, np.zeros_like(g1))), _mask(np.ones(4)))
     assert np.array_equal(out, g1)
 
 
 def test_sdropout_backward_length_mismatch():
     g = np.zeros((2, 4), np.float32)
     with pytest.raises(DimensionError):
-        sdropout_backward(g, g, _mask([1, 0, 1]))
+        sdropout_backward(np.concatenate((g, g)), _mask([1, 0, 1]))
+    with pytest.raises(DimensionError):
+        sdropout_backward(g[:1], _mask([1, 0, 1, 0]))  # odd row count
 
 
 def test_sdropout_backward_toy_loss_finite_differences():
@@ -102,10 +108,11 @@ def test_sdropout_backward_toy_loss_finite_differences():
     layer = DropoutLayer(p=0.5, mode="split", rng=np.random.default_rng(1))
 
     def fn():
-        y1, y2, _ = sdropout_forward(y, layer, m)
+        out, _ = sdropout_forward(y, layer, m)
+        y1, y2 = out[:2], out[2:]
         return float(np.sum(a * y1) + np.sum(b * y2))
 
-    ana = sdropout_backward(a, b, m)
+    ana = sdropout_backward(np.concatenate((a, b)), m)
     num = oracle.finite_difference(fn, y)
     nz = ana != 0
     assert oracle.relative_error(num[nz], ana[nz]).max() <= 1e-4

@@ -93,32 +93,55 @@ def test_fd_constant_function_is_zero():
     assert np.all(grad == 0.0)
 
 
-def test_fd_composed_toy_net_matches_backprop():
-    spec = NetworkSpec(input_shape=(1, 4, 4), layers=[
+_TOY_NETS = {
+    "conv": ((1, 4, 4), [
         {"kind": "conv", "out_channels": 2, "kernel": 3, "pad": 1},
         {"kind": "relu"},
         {"kind": "flatten"},
         {"kind": "fc", "out_features": 3},
-    ])
-    net = tr.init_weights(spec, seed=5, dtype=np.float64)
+    ]),
+    # two split layers around a standard one: four branches, two of them
+    # routed through the complement of the first split
+    "two_splits": ((1, 1, 5), [
+        {"kind": "flatten"},
+        {"kind": "fc", "out_features": 6},
+        {"kind": "dropout", "p": 0.5, "mode": "split"},
+        {"kind": "fc", "out_features": 6},
+        {"kind": "dropout", "p": 0.5, "mode": "standard"},
+        {"kind": "fc", "out_features": 6},
+        {"kind": "dropout", "p": 0.5, "mode": "split"},
+        {"kind": "fc", "out_features": 3},
+    ]),
+}
+
+
+@pytest.mark.parametrize("toy", sorted(_TOY_NETS))
+def test_fd_composed_toy_net_matches_backprop(toy):
+    input_shape, layers = _TOY_NETS[toy]
+    net = tr.init_weights(NetworkSpec(input_shape=input_shape, layers=layers),
+                          seed=5, dtype=np.float64)
     rng = np.random.default_rng(6)
     for _, name, arr in net.named_params():
         if name == "weights":
             arr[...] = rng.normal(0.0, 0.5, arr.shape)
-    x = rng.normal(size=(2, 1, 4, 4))
+    x = rng.normal(size=(2,) + input_shape)
     labels = np.array([0, 2])
+    pinned = {i: (rng.random(6) < 0.5).astype(np.float64)
+              for i in net.dropout_layers()}
 
-    _, branches = tr.forward_training(net, x, labels)
+    _, branches = tr.forward_training(net, x, labels, pinned_masks=pinned)
     analytic = tr.backward_training(branches)
 
     def loss_fn():
-        return tr.forward_training(net, x, labels)[0]
+        return tr.forward_training(net, x, labels, pinned_masks=pinned)[0]
 
-    for i, name in ((0, "weights"), (0, "bias"), (3, "weights"), (3, "bias")):
-        arr = net.layers[i].params()[name]
+    targets = [((i, name), arr, analytic[(i, name)])
+               for i, name, arr in net.named_params()]
+    targets.append(("input", x, branches.input_grad))
+    for key, arr, grad in targets:
         fd = oracle.finite_difference(loss_fn, arr).reshape(arr.shape)
-        rel = oracle.relative_error(analytic[(i, name)], fd)
-        assert rel.max() <= 1e-4, (i, name, rel.max())
+        rel = oracle.relative_error(grad, fd)
+        assert rel.max() <= 1e-4, (key, rel.max())
 
 
 # ---------------------------------------------------------------------------

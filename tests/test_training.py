@@ -1,4 +1,4 @@
-"""Branched forward/backward, SGD, init, and the inference conversion."""
+"""Split-dropout forward/backward, SGD, init, and the inference conversion."""
 
 import copy
 import math
@@ -107,6 +107,18 @@ def test_branch_count_is_two_to_the_n():
     # every path tag is a distinct sign sequence
     assert sorted(b["path"] for b in branches.branches) == [
         (-1, -1), (-1, +1), (+1, -1), (+1, +1)]
+    # each branch's logits are the plain forward under that branch's masks
+    fcs = [net.layers[i] for i in (1, 3, 5)]
+    masks = [branches.masks[i].bits.astype(np.float64) for i in (2, 4)]
+    for branch in branches.branches:
+        act = x.reshape(2, 4)
+        for fc, m, sign in zip(fcs, masks + [None], branch["path"] + (None,)):
+            act = act @ fc.weights.T + fc.bias
+            if m is not None:
+                act = act * (m if sign == +1 else 1.0 - m)
+        np.testing.assert_allclose(branch["logits"], act, rtol=0, atol=1e-12)
+        expected, _ = softmax_cross_entropy(act, labels)
+        assert branch["loss"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_forward_refuses_inference_network():
@@ -293,6 +305,22 @@ def test_init_default_dtype_is_single():
                                {"kind": "fc", "out_features": 2}])
     net = tr.init_weights(spec, seed=0)
     assert net.layers[1].weights.dtype == np.float32
+
+
+def test_init_rejects_maxpool_on_flat_input():
+    with pytest.raises(ConfigError, match="maxpool layer needs image input"):
+        _flat_net([{"kind": "maxpool", "window": 2},
+                   {"kind": "fc", "out_features": 2}])
+
+
+@pytest.mark.parametrize("width", [6, 5])
+def test_init_rejects_dropout_on_image_input(width):
+    # a length-C mask would broadcast along W: wrong on 6x6, an error on 6x5
+    with pytest.raises(ConfigError, match="dropout layer needs flat input"):
+        _net([{"kind": "conv", "out_channels": 6, "kernel": 1},
+              {"kind": "dropout"},
+              {"kind": "flatten"},
+              {"kind": "fc", "out_features": 2}], input_shape=(1, 6, width))
 
 
 # ---------------------------------------------------------------------------
