@@ -33,6 +33,8 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
 def predict_logits(net, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Batched inference; center-crops when the network input is smaller
     than the stored images (mirroring the training-time crop)."""
+    if batch_size < 1:
+        raise InputError(f"batch size must be at least 1, got {batch_size}")
     target = net.spec.input_shape[1]
     if images.shape[-1] != target or images.shape[-2] != target:
         images = center_crop(images, target)

@@ -149,7 +149,7 @@ def flip_kernel(kernel: np.ndarray, axis: str) -> np.ndarray:
 # Orientation banks
 # ---------------------------------------------------------------------------
 
-BANK_MODES = ("rotate8", "flip_lr", "flip_ud")
+BANK_MODES = ("plain", "rotate8", "flip_lr", "flip_ud")
 
 
 @dataclass
@@ -185,8 +185,9 @@ def build_orientation_bank(kernel: np.ndarray, mode: str,
                            source_filter_index: int = -1) -> OrientationBank:
     """All transformed variants of a kernel under the given mode.
 
-    rotate8: 8 rotations in 45-degree steps (ring permutation for 3x3,
-    bilinear otherwise). flip_lr / flip_ud: the kernel and its mirror.
+    plain: the kernel alone. rotate8: 8 rotations in 45-degree steps (ring
+    permutation for 3x3, bilinear otherwise). flip_lr / flip_ud: the kernel
+    and its mirror.
     """
     if mode not in BANK_MODES:
         raise InputError(f"unknown bank mode {mode!r}, expected one of {BANK_MODES}")
@@ -198,6 +199,8 @@ def build_orientation_bank(kernel: np.ndarray, mode: str,
             variants = [rotate_kernel_45_ring(kernel, s) for s in range(8)]
         else:
             variants = [rotate_kernel_bilinear(kernel, 45.0 * s) for s in range(8)]
+    elif mode == "plain":
+        variants = [kernel.copy()]
     else:
         axis = "left_right" if mode == "flip_lr" else "up_down"
         variants = [kernel.copy(), flip_kernel(kernel, axis)]

@@ -9,6 +9,12 @@ and adds parameter gradients into `layer.grads`.
 Split-mode dropout maps R rows to 2R rows, the masked rows stacked over
 their complement, so every later layer runs both branches of the split as
 one batch through the same weights.
+
+Orientation-pooling convolution groups its filters by bank (plain, rotate8,
+flip_lr, flip_ud), convolves chunks of images with the variant-major stack
+of every bank variant in one conv call, and keeps per pooled filter the
+elementwise max over its variants' contiguous channel slices, with the
+first maximum winning.
 """
 from __future__ import annotations
 
@@ -46,13 +52,6 @@ class Mask:
 
     def __len__(self):
         return self.bits.shape[0]
-
-
-def tie_break(responses: np.ndarray) -> int:
-    """Winning variant index at one position: lowest index among maxima."""
-    if np.asarray(responses).size == 0:
-        raise InputError("tie_break needs at least one response")
-    return int(np.argmax(responses))
 
 
 class Layer:
@@ -221,17 +220,30 @@ class ConvLayer(Layer):
         return gx
 
 
+# Images per conv call in the oriented forward: bounds the expanded conv
+# output and its im2col matrix, which grow with the bank sizes.
+_CHUNK = 64
+
+
 class _OrientedConv(Layer):
     """Convolution where some output filters pool over an orientation bank.
 
     Each pooled filter is convolved with every variant of its bank (8
     rotations, or original + one flip) and the responses are reduced by an
-    elementwise max; ties prefer the lowest variant index, i.e. the
-    untransformed kernel. The variants share the single stored kernel, so
-    the layer trains exactly as many values as a plain convolution.
-    Per-position winner indices are recorded in the call cache and the
-    backward routes gradients only through the winning variant, pulling
-    kernel gradients back through the inverse transform.
+    elementwise max. The variants share the single stored kernel, so the
+    layer trains exactly as many values as a plain convolution.
+
+    The filters form groups by bank: plain (1 variant), rotate8 (8),
+    flip_lr (2) and flip_ud (2). The expanded kernel rows run group by
+    group and, inside a group, variant-major, so variant s of a group is one
+    contiguous channel range of the conv output. The forward convolves
+    _CHUNK images at a time and reduces each group with a running max over
+    its variant slices. The winner is the first maximum and, where a NaN
+    occurs, the first NaN, as np.argmax picks; it is recorded per position
+    as int8 in `cache["rot_win"]` [N, rotated filters, H', W'] and
+    `cache["flip_win"]` [N, flipped filters, H', W'] (None without that
+    bank). The backward routes each gradient only to its winning variant and
+    pulls the kernel gradients back through the inverse transforms.
 
     Which filters rotate (and which flip) is drawn once at construction and
     never changes afterwards.
@@ -285,23 +297,20 @@ class _OrientedConv(Layer):
         for f, ax in self.flip_axes.items():
             if ax not in kt.FLIP_AXES:
                 raise ConfigError(f"bad flip axis {ax!r} for filter {f}")
-        sizes = np.ones(out_channels, dtype=int)
-        sizes[self.rotate_set] = 8
-        sizes[self.flip_set] = 2
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self._total = int(sizes.sum())
-        self._rot_rows = starts[self.rotate_set][:, None] + np.arange(8)
-        self._flip_rows = starts[self.flip_set][:, None] + np.arange(2)
         plain = np.setdiff1d(np.arange(out_channels),
                              np.concatenate((self.rotate_set, self.flip_set)))
-        self._plain_set = plain
-        self._plain_rows = starts[plain]
-        lr = np.array([f for f in self.flip_set if self.flip_axes[int(f)] == "left_right"],
-                      dtype=int)
-        ud = np.array([f for f in self.flip_set if self.flip_axes[int(f)] == "up_down"],
-                      dtype=int)
-        self._lr_pos = np.searchsorted(self.flip_set, lr)
-        self._ud_pos = np.searchsorted(self.flip_set, ud)
+        flip_axis = np.array([self.flip_axes[int(f)] for f in self.flip_set])
+        # (bank mode, filters, winner-map key, the filters' rows in that map)
+        self._groups = []
+        for mode, filters, key, pooled in (
+                ("plain", plain, None, plain),
+                ("rotate8", self.rotate_set, "rot_win", self.rotate_set),
+                ("flip_lr", self.flip_set[flip_axis == "left_right"], "flip_win",
+                 self.flip_set),
+                ("flip_ud", self.flip_set[flip_axis == "up_down"], "flip_win",
+                 self.flip_set)):
+            if filters.size:
+                self._groups.append((mode, filters, key, np.searchsorted(pooled, filters)))
 
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
@@ -309,136 +318,111 @@ class _OrientedConv(Layer):
     def conv_params(self) -> ConvParams:
         return ConvParams(self.weights, self.bias, self.stride, self.pad)
 
-    def banks(self):
-        """OrientationBank per pooled filter, rebuilt from current weights."""
-        out = []
-        for f in self.rotate_set:
-            out.append(kt.build_orientation_bank(self.weights[f], "rotate8", int(f)))
-        for f in self.flip_set:
-            mode = "flip_lr" if self.flip_axes[int(f)] == "left_right" else "flip_ud"
-            out.append(kt.build_orientation_bank(self.weights[f], mode, int(f)))
-        return out
-
-    # -- variant transforms ----------------------------------------------
-    def _rotate(self, block, step):
-        if block.shape[-1] == 3:
-            return kt.rotate_kernel_45_ring(block, step)
-        return kt.rotate_kernel_bilinear(block, 45.0 * step)
-
-    def _rotate_back(self, block, step):
-        if block.shape[-1] == 3:
-            return kt.rotate_kernel_45_ring(block, (8 - step) % 8)
-        return kt.rotate_kernel_bilinear_adjoint(block, 45.0 * step)
-
-    def _expanded_weights(self):
-        """Variant kernels of every filter, grouped per filter in index
-        order: 8 rotations, or [original, flip], or the plain kernel."""
-        o, c, k, _ = self.weights.shape
-        exp = np.empty((self._total, c, k, k), dtype=self.weights.dtype)
-        if self._plain_rows.size:
-            exp[self._plain_rows] = self.weights[self._plain_set]
-        if self.rotate_set.size:
-            wr = self.weights[self.rotate_set]
-            for s in range(8):
-                exp[self._rot_rows[:, s]] = self._rotate(wr, s)
-        if self.flip_set.size:
-            wf = self.weights[self.flip_set]
-            exp[self._flip_rows[:, 0]] = wf
-            if self._lr_pos.size:
-                exp[self._flip_rows[self._lr_pos, 1]] = kt.flip_kernel(
-                    wf[self._lr_pos], "left_right")
-            if self._ud_pos.size:
-                exp[self._flip_rows[self._ud_pos, 1]] = kt.flip_kernel(
-                    wf[self._ud_pos], "up_down")
-        return exp
-
-    def _expanded_bias(self):
-        b = np.empty(self._total, dtype=self.bias.dtype)
-        b[self._plain_rows] = self.bias[self._plain_set]
-        b[self._rot_rows] = self.bias[self.rotate_set][:, None]
-        b[self._flip_rows] = self.bias[self.flip_set][:, None]
-        return b
-
     # -- forward / backward ----------------------------------------------
+    def _layout(self, banks):
+        """(group, bank, first expanded row) per group; variant s of the
+        group owns rows first + s*m .. first + (s+1)*m for its m filters."""
+        row = 0
+        for group, bank in zip(self._groups, banks):
+            yield group, bank, row
+            row += len(bank) * group[1].size
+
     def forward(self, x, cache):
-        exp = self._expanded_weights()
-        y_exp = conv2d_forward(x, ConvParams(exp, self._expanded_bias(),
-                                             self.stride, self.pad))
-        n, _, h, w = y_exp.shape
-        o = self.weights.shape[0]
-        out = np.empty((n, o, h, w), dtype=y_exp.dtype)
-        if self._plain_rows.size:
-            out[:, self._plain_set] = y_exp[:, self._plain_rows]
-        rot_win = flip_win = None
-        if self.rotate_set.size:
-            v = y_exp[:, self._rot_rows.ravel()].reshape(n, -1, 8, h, w)
-            rot_win = v.argmax(axis=2).astype(np.int8)
-            out[:, self.rotate_set] = np.take_along_axis(
-                v, rot_win[:, :, None].astype(np.intp), axis=2)[:, :, 0]
-        if self.flip_set.size:
-            v = y_exp[:, self._flip_rows.ravel()].reshape(n, -1, 2, h, w)
-            flip_win = v.argmax(axis=2).astype(np.int8)
-            out[:, self.flip_set] = np.take_along_axis(
-                v, flip_win[:, :, None].astype(np.intp), axis=2)[:, :, 0]
+        banks = [kt.build_orientation_bank(self.weights[f], mode)
+                 for mode, f, _, _ in self._groups]
+        params = ConvParams(
+            np.concatenate([v for b in banks for v in b.variants]),
+            np.concatenate([np.tile(self.bias[f], len(b))
+                            for (_, f, _, _), b in zip(self._groups, banks)]),
+            self.stride, self.pad)
+        n = x.shape[0]
+        out = None
+        wins = {"rot_win": None, "flip_win": None}
+        # one pass even for an empty batch, so shape and errors come from the conv
+        for a in range(0, max(n, 1), _CHUNK):
+            y = conv2d_forward(x[a:a + _CHUNK], params)
+            if out is None:
+                out = np.empty((n, self.weights.shape[0]) + y.shape[2:], y.dtype)
+                for key, pooled in (("rot_win", self.rotate_set),
+                                    ("flip_win", self.flip_set)):
+                    if pooled.size:
+                        wins[key] = np.empty((n, pooled.size) + y.shape[2:], np.int8)
+            for (_, f, key, pos), bank, row in self._layout(banks):
+                m = f.size
+                best, win = _pool_variants(
+                    [y[:, row + s * m:row + (s + 1) * m] for s in range(len(bank))])
+                out[a:a + _CHUNK, f] = best
+                if win is not None:
+                    wins[key][a:a + _CHUNK, pos] = win
         cache["x"] = x
-        cache["exp_weights"] = exp
-        cache["rot_win"] = rot_win
-        cache["flip_win"] = flip_win
+        cache["params"] = params
+        cache["banks"] = banks
+        cache.update(wins)
         cache["out_shape"] = out.shape
         return out
 
     def backward(self, grad_out, cache):
-        if "exp_weights" not in cache:
+        if "params" not in cache:
             raise ConsistencyError(
                 "orientation-pool backward called without a matching forward")
         if grad_out.shape != cache["out_shape"]:
             raise ConsistencyError(
                 f"grad_out shape {grad_out.shape} does not match cached forward "
                 f"output {cache['out_shape']}; stale cache?")
-        x = cache["x"]
-        exp = cache["exp_weights"]
+        params, banks = cache["params"], cache["banks"]
         n, _, h, w = grad_out.shape
-        g_exp = np.zeros((n, self._total, h, w), dtype=grad_out.dtype)
-        if self._plain_rows.size:
-            g_exp[:, self._plain_rows] = grad_out[:, self._plain_set]
-        if self.rotate_set.size:
-            block = np.zeros((n, self.rotate_set.size, 8, h, w), dtype=grad_out.dtype)
-            np.put_along_axis(block, cache["rot_win"][:, :, None].astype(np.intp),
-                              grad_out[:, self.rotate_set][:, :, None], axis=2)
-            g_exp[:, self._rot_rows.ravel()] = block.reshape(n, -1, h, w)
-        if self.flip_set.size:
-            block = np.zeros((n, self.flip_set.size, 2, h, w), dtype=grad_out.dtype)
-            np.put_along_axis(block, cache["flip_win"][:, :, None].astype(np.intp),
-                              grad_out[:, self.flip_set][:, :, None], axis=2)
-            g_exp[:, self._flip_rows.ravel()] = block.reshape(n, -1, h, w)
-
-        gx, gw_exp, gb_exp = conv2d_backward(
-            g_exp, x, ConvParams(exp, self._expanded_bias(), self.stride, self.pad))
+        # channel-major, so the rows of each variant are one contiguous block
+        g = np.zeros((params.out_channels, n, h, w), dtype=grad_out.dtype)
+        for (_, f, key, pos), bank, row in self._layout(banks):
+            m = f.size
+            g_f = grad_out.transpose(1, 0, 2, 3)[f]
+            if len(bank) == 1:
+                g[row:row + m] = g_f
+                continue
+            win = cache[key].transpose(1, 0, 2, 3)[pos]
+            for s in range(len(bank)):
+                np.copyto(g[row + s * m:row + (s + 1) * m], g_f, where=win == s)
+        gx, gw_exp, gb_exp = conv2d_backward(g.transpose(1, 0, 2, 3), cache["x"], params)
 
         gw = np.zeros_like(self.weights)
         gb = np.zeros_like(self.bias)
-        if self._plain_rows.size:
-            gw[self._plain_set] = gw_exp[self._plain_rows]
-            gb[self._plain_set] = gb_exp[self._plain_rows]
-        if self.rotate_set.size:
-            acc = np.zeros_like(gw[self.rotate_set], dtype=gw_exp.dtype)
-            for s in range(8):
-                acc += self._rotate_back(gw_exp[self._rot_rows[:, s]], s)
-            gw[self.rotate_set] = acc
-            gb[self.rotate_set] = gb_exp[self._rot_rows].sum(axis=1)
-        if self.flip_set.size:
-            acc = gw_exp[self._flip_rows[:, 0]].copy()
-            if self._lr_pos.size:
-                acc[self._lr_pos] += kt.flip_kernel(
-                    gw_exp[self._flip_rows[self._lr_pos, 1]], "left_right")
-            if self._ud_pos.size:
-                acc[self._ud_pos] += kt.flip_kernel(
-                    gw_exp[self._flip_rows[self._ud_pos, 1]], "up_down")
-            gw[self.flip_set] = acc
-            gb[self.flip_set] = gb_exp[self._flip_rows].sum(axis=1)
+        for (_, f, _, _), bank, row in self._layout(banks):
+            m = f.size
+            for s in range(len(bank)):
+                gw[f] += bank.pullback(s, gw_exp[row + s * m:row + (s + 1) * m])
+            # summed as [filter, variant] rows
+            gb_f = gb_exp[row:row + len(bank) * m].reshape(len(bank), m)
+            gb[f] = np.ascontiguousarray(gb_f.T).sum(axis=1)
         self._accumulate("weights", gw)
         self._accumulate("bias", gb)
         return gx
+
+
+def _pool_variants(views):
+    """Elementwise max over the variant responses and the winning variant
+    index as int8 (None for a single variant).
+
+    The winner is the number of leading variants that miss the maximum.
+    np.maximum propagates NaN, so where the maximum is NaN a variant misses
+    unless it holds NaN.
+    """
+    if len(views) == 1:
+        return views[0], None
+    best = np.maximum(views[0], views[1])
+    for v in views[2:]:
+        np.maximum(best, v, out=best)
+    nan_out = best != best
+    has_nan = bool(nan_out.any())
+    win = np.zeros(best.shape, dtype=np.int8)
+    missed = np.ones(best.shape, dtype=bool)
+    miss = np.empty(best.shape, dtype=bool)
+    for v in views[:-1]:
+        np.less(v, best, out=miss)
+        if has_nan:
+            miss |= nan_out & (v == v)
+        missed &= miss
+        win += missed
+    return best, win
 
 
 class RpcConvLayer(_OrientedConv):

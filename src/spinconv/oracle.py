@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import kernel_transforms as kt
 from .errors import ConfigError, ConsistencyError, InputError
 from .layers import (ConvLayer, DropoutLayer, FcLayer, MaxPoolLayer, Network,
                      NetworkSpec, PReluLayer, RpcConvLayer, FrpcConvLayer)
@@ -84,6 +85,26 @@ def naive_maxpool(x: np.ndarray, window: int, stride: int):
     return y, arg
 
 
+def tie_break(responses: np.ndarray) -> int:
+    """Winning variant index at one position: lowest index among maxima."""
+    if np.asarray(responses).size == 0:
+        raise InputError("tie_break needs at least one response")
+    return int(np.argmax(responses))
+
+
+def oriented_banks(layer):
+    """OrientationBank per pooled filter of an rpc/frpc layer, rebuilt from
+    its current weights: rotated filters first, then flipped ones, each in
+    filter index order."""
+    out = []
+    for f in layer.rotate_set:
+        out.append(kt.build_orientation_bank(layer.weights[f], "rotate8", int(f)))
+    for f in layer.flip_set:
+        mode = "flip_lr" if layer.flip_axes[int(f)] == "left_right" else "flip_ud"
+        out.append(kt.build_orientation_bank(layer.weights[f], mode, int(f)))
+    return out
+
+
 def oriented_conv_reference(x: np.ndarray, layer) -> np.ndarray:
     """Max over separately convolved bank variants, filter by filter.
 
@@ -91,7 +112,7 @@ def oriented_conv_reference(x: np.ndarray, layer) -> np.ndarray:
     filter's map with the explicit max of its variants' responses.
     """
     y = naive_conv(x, layer.conv_params())
-    for bank in layer.banks():
+    for bank in oriented_banks(layer):
         f = bank.source_filter_index
         resps = [naive_conv(x, ConvParams(v[None], layer.bias[f:f + 1],
                                           layer.stride, layer.pad))[:, 0]

@@ -120,12 +120,12 @@ def test_train_requires_dataset(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
-def _assert_config_error_exit(cfg_path):
-    """`spinconv train` in a fresh process exits 2 with an error line."""
+def _assert_config_error_exit(*argv):
+    """`spinconv <argv>` in a fresh process exits 2 with an error line."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    p = subprocess.run([sys.executable, "-m", "spinconv", "train", "--config", cfg_path],
+    p = subprocess.run([sys.executable, "-m", "spinconv", *argv],
                        capture_output=True, text=True, env=env, timeout=120)
     assert p.returncode == 2, p.stderr
     assert "error:" in p.stderr
@@ -138,7 +138,7 @@ def test_train_pool_window_exceeding_input_exit_code(tmp_path):
         "layers": [{"kind": "maxpool", "window": 40},
                    {"kind": "flatten"},
                    {"kind": "fc", "out_features": 4}]})
-    _assert_config_error_exit(cfg_path)
+    _assert_config_error_exit("train", "--config", cfg_path)
 
 
 @pytest.mark.parametrize("layers", [
@@ -153,7 +153,7 @@ def test_train_pool_window_exceeding_input_exit_code(tmp_path):
 def test_train_layer_input_rank_exit_code(tmp_path, layers):
     cfg_path, _ = _config(tmp_path, network={"input_shape": [1, 28, 28],
                                              "layers": layers})
-    _assert_config_error_exit(cfg_path)
+    _assert_config_error_exit("train", "--config", cfg_path)
 
 
 def test_threads_must_be_positive(capsys):
@@ -202,6 +202,15 @@ def test_eval_corrupt_checkpoint(overfit_run, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command,batch_size", [
+    ("eval", "0"), ("eval", "-3"), ("sweep", "0"), ("sweep", "-1")])
+def test_batch_size_below_one_exit_code(overfit_run, tmp_path, command, batch_size):
+    ckpt, images, labels = overfit_run
+    extra = ["--angles", "2", "--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
+                              "--labels", labels, "--batch-size", batch_size, *extra)
+
 
 def test_sweep_single_angle_matches_eval(overfit_run, tmp_path, capsys):
     ckpt, images, labels = overfit_run

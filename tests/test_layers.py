@@ -7,9 +7,9 @@ from spinconv import oracle
 from spinconv import tensor_core as tc
 from spinconv.errors import ConfigError, DimensionError, InputError
 from spinconv.layers import (ConvLayer, DropoutLayer, FrpcConvLayer, Mask,
-                             Network, NetworkSpec, RpcConvLayer,
+                             Network, NetworkSpec, RpcConvLayer, _CHUNK,
                              dropout_forward_standard, sdropout_backward,
-                             sdropout_forward, tie_break)
+                             sdropout_forward)
 
 
 def _mask(bits):
@@ -154,11 +154,11 @@ def test_mask_draw_determinism():
 # ---------------------------------------------------------------------------
 
 def test_tie_break_rules():
-    assert tie_break(np.array([2.0, 2.0, 2.0])) == 0
-    assert tie_break(np.array([0.0, 1.0, 0.5, 0.2, 0.1, 9.0])) == 5
+    assert oracle.tie_break(np.array([2.0, 2.0, 2.0])) == 0
+    assert oracle.tie_break(np.array([0.0, 1.0, 0.5, 0.2, 0.1, 9.0])) == 5
     r = np.zeros(8)
     r[2] = r[6] = 3.0
-    assert tie_break(r) == 2
+    assert oracle.tie_break(r) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +342,132 @@ def test_rpc_selected_indices_property():
     layer = RpcConvLayer(1, 8, 3, rotate_fraction=0.5,
                          rng=np.random.default_rng(29))
     assert np.array_equal(layer.selected_indices, layer.rotate_set)
+
+
+# ---------------------------------------------------------------------------
+# RPC / FRPC winner maps
+# ---------------------------------------------------------------------------
+
+# (layer class, selection fractions): rotate only, rotate + flip, flip only,
+# and no pooled filter at all
+ORIENTED = {
+    "rpc": (RpcConvLayer, dict(rotate_fraction=0.5)),
+    "frpc": (FrpcConvLayer, dict(rotate_fraction=0.25, flip_fraction=0.5)),
+    "frpc_flip_only": (FrpcConvLayer, dict(rotate_fraction=0.0, flip_fraction=0.75)),
+    "rpc_plain": (RpcConvLayer, dict(rotate_fraction=0.0)),
+}
+
+
+def _oriented(name, in_ch=2, out_ch=4, seed=30):
+    cls, fractions = ORIENTED[name]
+    layer = cls(in_ch, out_ch, 3, pad=1, rng=np.random.default_rng(seed),
+                dtype=np.float64, **fractions)
+    rng = np.random.default_rng(seed + 100)
+    layer.weights[...] = rng.normal(0, 0.8, layer.weights.shape)
+    layer.bias[...] = rng.normal(0, 0.3, layer.bias.shape)
+    return layer
+
+
+def _winner_reference(layer, x):
+    """np.argmax over the stacked per-variant responses, each computed by
+    oracle.naive_conv on one bank variant; None where the bank is absent."""
+    maps = {"rot_win": [], "flip_win": []}
+    for bank in oracle.oriented_banks(layer):
+        f = bank.source_filter_index
+        resps = [oracle.naive_conv(x, tc.ConvParams(v[None], layer.bias[f:f + 1],
+                                                     layer.stride, layer.pad))[:, 0]
+                 for v in bank.variants]
+        key = "rot_win" if bank.mode == "rotate8" else "flip_win"
+        maps[key].append(np.argmax(np.stack(resps), axis=0))
+    return {key: np.stack(m, axis=1) if m else None for key, m in maps.items()}
+
+
+def _assert_winners(cache, ref):
+    for key in ("rot_win", "flip_win"):
+        if ref[key] is None:
+            assert cache[key] is None
+        else:
+            assert np.array_equal(cache[key], ref[key]), key
+
+
+def _integer_case(layer, shape, seed):
+    """Small-integer weights and inputs: every sum is exact in float64, so
+    variants tie exactly where their kernels agree, whatever the GEMM order."""
+    rng = np.random.default_rng(seed)
+    layer.weights[...] = rng.integers(-3, 4, layer.weights.shape)
+    layer.bias[...] = rng.integers(-2, 3, layer.bias.shape) / 2
+    return rng.integers(-3, 4, shape).astype(np.float64)
+
+
+@pytest.mark.parametrize("name", ["rpc", "frpc"])
+def test_oriented_exact_ties_pick_variant_zero(name):
+    layer = _oriented(name, out_ch=8)
+    x = _integer_case(layer, (3, 2, 5, 5), 31)
+    # a constant kernel is its own rotation and flip: every variant ties
+    layer.weights[...] = layer.weights[:, :, :1, :1]
+    cache = {}
+    layer.forward(x, cache)
+    ref = _winner_reference(layer, x)
+    _assert_winners(cache, ref)
+    for key in ("rot_win", "flip_win"):
+        assert ref[key] is None or not ref[key].any(), key
+
+
+@pytest.mark.parametrize("name", ["rpc", "frpc_flip_only"])
+def test_oriented_nan_takes_first_nan_variant(name):
+    layer = _oriented(name, in_ch=1, out_ch=4)
+    x = _integer_case(layer, (2, 1, 6, 6), 33)
+    layer.weights[...] = np.abs(layer.weights) + 1
+    layer.weights[:, :, 0, 0] = 0.0
+    layer.weights[:, :, 0, 1] = 0.0
+    # inf meets a zero weight in some variants only: those give NaN
+    x[0, 0, 2, 3] = np.inf
+    cache = {}
+    with np.errstate(invalid="ignore"):
+        y = layer.forward(x, cache)
+        ref = _winner_reference(layer, x)
+        expected = oracle.oriented_conv_reference(x, layer)
+    _assert_winners(cache, ref)
+    assert np.array_equal(np.isnan(y), np.isnan(expected))
+    key = "rot_win" if layer.rotate_set.size else "flip_win"
+    pooled = layer.rotate_set if layer.rotate_set.size else layer.flip_set
+    nan_wins = cache[key][np.isnan(y[:, pooled])]
+    assert nan_wins.size and nan_wins.any()  # some NaN is not variant 0's
+
+
+@pytest.mark.parametrize("name", list(ORIENTED))
+def test_oriented_cache_contract(name):
+    """The winner maps that the gradient check and the traced bench read."""
+    layer = _oriented(name, out_ch=8)
+    x = np.random.default_rng(34).normal(size=(3, 2, 5, 4))
+    cache = {}
+    y = layer.forward(x, cache)
+    ref = _winner_reference(layer, x)
+    for key, pooled, bins in (("rot_win", layer.rotate_set, 8),
+                              ("flip_win", layer.flip_set, 2)):
+        assert key in cache
+        if pooled.size == 0:
+            assert cache[key] is None
+            continue
+        win = cache[key]
+        assert win.dtype == np.int8
+        assert win.size == y.shape[0] * pooled.size * y.shape[2] * y.shape[3]
+        assert win.min() >= 0 and win.max() < bins
+        assert np.array_equal(np.bincount(win.ravel(), minlength=bins),
+                              np.bincount(ref[key].ravel(), minlength=bins))
+
+
+@pytest.mark.parametrize("offset", [None, -1, 1, "2C+1"])
+@pytest.mark.parametrize("name", ["rpc", "frpc"])
+def test_oriented_batches_around_chunk_size(name, offset):
+    n = {None: 1, -1: _CHUNK - 1, 1: _CHUNK + 1, "2C+1": 2 * _CHUNK + 1}[offset]
+    layer = _oriented(name)
+    x = np.random.default_rng(35).normal(size=(n, 2, 4, 4))
+    cache = {}
+    y = layer.forward(x, cache)
+    assert y.shape == (n, 4, 4, 4)
+    assert np.allclose(y, oracle.oriented_conv_reference(x, layer), rtol=0, atol=1e-6)
+    _assert_winners(cache, _winner_reference(layer, x))
 
 
 # ---------------------------------------------------------------------------
