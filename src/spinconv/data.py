@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, FormatError
+from .errors import ConsistencyError, DimensionError, FormatError, InputError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -70,6 +70,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     if n != n_labels:
         raise ConsistencyError(f"{n} images but {n_labels} labels "
                                f"({images_path}, {labels_path})")
+    if n == 0:
+        raise InputError(f"no images in {images_path}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
     images = images.astype(np.float32) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)

@@ -35,6 +35,8 @@ def predict_logits(net, images: np.ndarray, batch_size: int = 256) -> np.ndarray
     than the stored images (mirroring the training-time crop)."""
     if batch_size < 1:
         raise InputError(f"batch size must be at least 1, got {batch_size}")
+    if images.shape[0] == 0:
+        raise InputError("no images to predict")
     target = net.spec.input_shape[1]
     if images.shape[-1] != target or images.shape[-2] != target:
         images = center_crop(images, target)

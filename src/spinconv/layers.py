@@ -4,7 +4,9 @@ split mode, and orientation-pooling convolution (rotate / flip-rotate).
 Layers hold parameters and accumulated gradients but no per-call activation
 state: `forward(x, cache)` writes whatever the matching backward needs into
 the caller-owned `cache` dict, and `backward(grad_out, cache)` reads it back
-and adds parameter gradients into `layer.grads`.
+and adds parameter gradients into `layer.grads`. `infer(x)` returns the same
+output as `forward` and keeps nothing for a backward; max-pooling and
+orientation pooling use it to skip their winner scans.
 
 Split-mode dropout maps R rows to 2R rows, the masked rows stacked over
 their complement, so every later layer runs both branches of the split as
@@ -62,6 +64,10 @@ class Layer:
 
     def forward(self, x, cache: dict):
         raise NotImplementedError
+
+    def infer(self, x):
+        """The forward output alone, for inference; no backward can follow."""
+        return self.forward(x, {})
 
     def backward(self, grad_out, cache: dict):
         raise NotImplementedError
@@ -122,7 +128,7 @@ class DropoutLayer(Layer):
         if self.mode == "split":
             y, mask = sdropout_forward(x, self, mask)
         else:
-            y, mask = dropout_forward_standard(x, self, True, mask)
+            y, mask = dropout_forward_standard(x, self, mask)
         cache["mask"] = mask
         return y
 
@@ -140,15 +146,12 @@ def _check_mask(mask: Mask, units: int):
             f"mask length {len(mask)} does not match unit count {units}")
 
 
-def dropout_forward_standard(y: np.ndarray, layer: DropoutLayer, training: bool,
-                             mask: Mask = None):
-    """Standard dropout: multiply by the keep-mask during training, pass
-    through at inference (weight scaling happens in to_inference).
+def dropout_forward_standard(y: np.ndarray, layer: DropoutLayer, mask: Mask = None):
+    """Standard dropout in training: multiply by the keep-mask (inference
+    folds dropout into the weights in to_inference).
 
-    Returns (output, mask); mask is None outside training.
+    Returns (output, mask).
     """
-    if not training:
-        return y, None
     if mask is None:
         mask = layer.draw_mask(y.shape[1])
     _check_mask(mask, y.shape[1])
@@ -236,14 +239,21 @@ class _OrientedConv(Layer):
     The filters form groups by bank: plain (1 variant), rotate8 (8),
     flip_lr (2) and flip_ud (2). The expanded kernel rows run group by
     group and, inside a group, variant-major, so variant s of a group is one
-    contiguous channel range of the conv output. The forward convolves
-    _CHUNK images at a time and reduces each group with a running max over
-    its variant slices. The winner is the first maximum and, where a NaN
-    occurs, the first NaN, as np.argmax picks; it is recorded per position
-    as int8 in `cache["rot_win"]` [N, rotated filters, H', W'] and
-    `cache["flip_win"]` [N, flipped filters, H', W'] (None without that
-    bank). The backward routes each gradient only to its winning variant and
-    pulls the kernel gradients back through the inverse transforms.
+    contiguous channel range of the conv output. `forward` and `infer` share
+    one loop that convolves _CHUNK images at a time and reduces each group
+    with a running max over its variant slices. `forward` also finds the
+    winner: the first maximum and, where a NaN occurs, the first NaN, as
+    np.argmax picks. It records it per position as int8 in
+    `cache["rot_win"]` [N, rotated filters, H', W'] and `cache["flip_win"]`
+    [N, flipped filters, H', W'] (None without that bank). `infer` skips
+    the winner count and keeps no cache; its output is the same. The
+    backward routes each gradient only to its winning variant and pulls the
+    kernel gradients back through the inverse transforms.
+
+    Ties are decided on the computed responses. Identical expanded kernel
+    rows need not come out of the float64 GEMM bit-identical, so in float64
+    a rotation- or flip-symmetric kernel can let a transformed copy win a
+    tie by one last bit.
 
     Which filters rotate (and which flip) is drawn once at construction and
     never changes afterwards.
@@ -327,7 +337,9 @@ class _OrientedConv(Layer):
             yield group, bank, row
             row += len(bank) * group[1].size
 
-    def forward(self, x, cache):
+    def _pooled(self, x, winners: bool):
+        """(pooled output, winner maps keyed like the cache, expanded conv
+        params, banks); the winner maps stay None unless `winners`."""
         banks = [kt.build_orientation_bank(self.weights[f], mode)
                  for mode, f, _, _ in self._groups]
         params = ConvParams(
@@ -345,21 +357,29 @@ class _OrientedConv(Layer):
                 out = np.empty((n, self.weights.shape[0]) + y.shape[2:], y.dtype)
                 for key, pooled in (("rot_win", self.rotate_set),
                                     ("flip_win", self.flip_set)):
-                    if pooled.size:
+                    if winners and pooled.size:
                         wins[key] = np.empty((n, pooled.size) + y.shape[2:], np.int8)
             for (_, f, key, pos), bank, row in self._layout(banks):
                 m = f.size
                 best, win = _pool_variants(
-                    [y[:, row + s * m:row + (s + 1) * m] for s in range(len(bank))])
+                    [y[:, row + s * m:row + (s + 1) * m] for s in range(len(bank))],
+                    winners)
                 out[a:a + _CHUNK, f] = best
                 if win is not None:
                     wins[key][a:a + _CHUNK, pos] = win
+        return out, wins, params, banks
+
+    def forward(self, x, cache):
+        out, wins, params, banks = self._pooled(x, winners=True)
         cache["x"] = x
         cache["params"] = params
         cache["banks"] = banks
         cache.update(wins)
         cache["out_shape"] = out.shape
         return out
+
+    def infer(self, x):
+        return self._pooled(x, winners=False)[0]
 
     def backward(self, grad_out, cache):
         if "params" not in cache:
@@ -398,9 +418,9 @@ class _OrientedConv(Layer):
         return gx
 
 
-def _pool_variants(views):
+def _pool_variants(views, winners: bool):
     """Elementwise max over the variant responses and the winning variant
-    index as int8 (None for a single variant).
+    index as int8 (None for a single variant or without `winners`).
 
     The winner is the number of leading variants that miss the maximum.
     np.maximum propagates NaN, so where the maximum is NaN a variant misses
@@ -411,6 +431,8 @@ def _pool_variants(views):
     best = np.maximum(views[0], views[1])
     for v in views[2:]:
         np.maximum(best, v, out=best)
+    if not winners:
+        return best, None
     nan_out = best != best
     has_nan = bool(nan_out.any())
     win = np.zeros(best.shape, dtype=np.int8)
@@ -469,6 +491,9 @@ class MaxPoolLayer(Layer):
         cache["argmax"] = argmax
         cache["input_shape"] = x.shape
         return y
+
+    def infer(self, x):
+        return maxpool2d_forward(x, self.window, self.stride, indices=False)[0]
 
     def backward(self, grad_out, cache):
         if "argmax" not in cache:
@@ -597,11 +622,13 @@ class Network:
             layer.zero_grads()
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Plain forward chain; requires dropout to have been folded away."""
+        """Inference chain through each layer's `infer`, so no backward state
+        (pool argmax indices, orientation winners) is computed; requires
+        dropout to have been folded away."""
         for layer in self.layers:
             if isinstance(layer, DropoutLayer):
                 raise ConsistencyError(
                     "network still contains dropout layers; convert with "
                     "to_inference before evaluating")
-            x = layer.forward(x, {})
+            x = layer.infer(x)
         return x

@@ -168,13 +168,14 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams):
 # Max pooling
 # ---------------------------------------------------------------------------
 
-def maxpool2d_forward(x: np.ndarray, window: int, stride: int):
+def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = True):
     """Max over sliding windows. Returns (output, argmax_indices).
 
     argmax_indices holds, per output element, the flat index of the winner
     inside its H*W input plane; first occurrence in row-major window order
     wins on ties, and a window holding NaN yields NaN at its first NaN, as
-    np.argmax does.
+    np.argmax does. With indices=False the winner scan is skipped and
+    argmax_indices is None; the output is the same.
     """
     if x.ndim != 4:
         raise DimensionError(f"pool input must be 4-d [N,C,H,W], got shape {x.shape}")
@@ -191,6 +192,8 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int):
     y = views[0].copy()
     for v in views[1:]:
         np.maximum(y, v, out=y)
+    if not indices:
+        return y, None
     # The winner's position in the window is the number of leading positions
     # that miss the maximum. np.maximum propagates NaN, so in a NaN window a
     # position misses unless it holds NaN.

@@ -130,6 +130,16 @@ def _assert_config_error_exit(*argv):
     assert p.returncode == 2, p.stderr
     assert "error:" in p.stderr
     assert "Traceback" not in p.stderr
+    return p.stderr
+
+
+def _write_empty_idx(tmp_path):
+    empty = data.Dataset(images=np.zeros((0, 1, 28, 28), np.float32),
+                         labels=np.zeros(0, np.int64))
+    ip = str(tmp_path / "empty-images.idx")
+    lp = str(tmp_path / "empty-labels.idx")
+    data.write_idx(empty, ip, lp)
+    return ip, lp
 
 
 def test_train_pool_window_exceeding_input_exit_code(tmp_path):
@@ -154,6 +164,14 @@ def test_train_layer_input_rank_exit_code(tmp_path, layers):
     cfg_path, _ = _config(tmp_path, network={"input_shape": [1, 28, 28],
                                              "layers": layers})
     _assert_config_error_exit("train", "--config", cfg_path)
+
+
+def test_train_on_empty_idx_exit_code(tmp_path):
+    images, labels = _write_empty_idx(tmp_path)
+    cfg_path, _ = _config(tmp_path, dataset={"kind": "idx", "images": images,
+                                             "labels": labels})
+    stderr = _assert_config_error_exit("train", "--config", cfg_path)
+    assert "Warning" not in stderr
 
 
 def test_threads_must_be_positive(capsys):
@@ -210,6 +228,18 @@ def test_batch_size_below_one_exit_code(overfit_run, tmp_path, command, batch_si
     extra = ["--angles", "2", "--out", str(tmp_path / "s.csv")] if command == "sweep" else []
     _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
                               "--labels", labels, "--batch-size", batch_size, *extra)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("eval", []), ("eval", ["--ten-view"]), ("sweep", ["--angles", "2"])],
+    ids=["eval", "eval_ten_view", "sweep"])
+def test_empty_idx_exit_code(overfit_run, tmp_path, command, extra):
+    ckpt, _, _ = overfit_run
+    images, labels = _write_empty_idx(tmp_path)
+    if command == "sweep":
+        extra = extra + ["--out", str(tmp_path / "s.csv")]
+    _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
+                              "--labels", labels, *extra)
 
 
 def test_sweep_single_angle_matches_eval(overfit_run, tmp_path, capsys):

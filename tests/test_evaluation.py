@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinconv import data, evaluation as ev, training as tr
+from spinconv import data, evaluation as ev, layers, training as tr
 from spinconv.errors import InputError
 from spinconv.layers import NetworkSpec
 from spinconv.tensor_core import softmax
@@ -91,6 +91,35 @@ def test_top_5_at_least_top_1(trained):
     top1 = ev.top_k_accuracy(logits, ds.labels, 1)
     top2 = ev.top_k_accuracy(logits, ds.labels, 2)
     assert top2 >= top1
+
+
+def test_predict_logits_rejects_empty_images(trained):
+    net, _ = trained
+    with pytest.raises(InputError):
+        ev.predict_logits(net, np.zeros((0, 1, 28, 28), np.float32))
+
+
+@pytest.mark.parametrize("kind", ["rpc_conv", "frpc_conv"])
+def test_predict_logits_skips_training_forward(monkeypatch, kind):
+    """Inference goes through `infer`, never through the training forward
+    of the layers whose forward computes winners for a backward."""
+    def refuse(self, x, cache):
+        raise AssertionError(f"{type(self).__name__}.forward ran during inference")
+
+    for cls in (layers.MaxPoolLayer, layers._OrientedConv,
+                layers.RpcConvLayer, layers.FrpcConvLayer):
+        monkeypatch.setattr(cls, "forward", refuse)
+    spec = NetworkSpec(input_shape=(1, 12, 12), layers=[
+        {"kind": kind, "out_channels": 8, "kernel": 3, "pad": 1},
+        {"kind": "relu"},
+        {"kind": "maxpool", "window": 2},
+        {"kind": "flatten"},
+        {"kind": "fc", "out_features": 3},
+    ])
+    net = tr.to_inference(tr.init_weights(spec, seed=4))
+    images = np.random.default_rng(5).normal(size=(5, 1, 12, 12)).astype(np.float32)
+    logits = ev.predict_logits(net, images, batch_size=2)
+    assert logits.shape == (5, 3) and np.isfinite(logits).all()
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from spinconv import oracle
 from spinconv import tensor_core as tc
 from spinconv.errors import ConfigError, DimensionError, InputError
-from spinconv.layers import (ConvLayer, DropoutLayer, FrpcConvLayer, Mask,
-                             Network, NetworkSpec, RpcConvLayer, _CHUNK,
-                             dropout_forward_standard, sdropout_backward,
-                             sdropout_forward)
+from spinconv.layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
+                             FrpcConvLayer, Mask, MaxPoolLayer, Network,
+                             NetworkSpec, PReluLayer, ReluLayer, RpcConvLayer,
+                             _CHUNK, dropout_forward_standard,
+                             sdropout_backward, sdropout_forward)
 
 
 def _mask(bits):
@@ -23,30 +24,22 @@ def _mask(bits):
 def test_standard_dropout_all_ones_identity():
     y = np.random.default_rng(0).normal(size=(3, 4)).astype(np.float32)
     layer = DropoutLayer(p=0.5, rng=np.random.default_rng(1))
-    out, _ = dropout_forward_standard(y, layer, True, _mask(np.ones(4)))
+    out, _ = dropout_forward_standard(y, layer, _mask(np.ones(4)))
     assert np.array_equal(out, y)
 
 
 def test_standard_dropout_all_zeros():
     y = np.ones((2, 4), np.float32)
     layer = DropoutLayer(p=0.5, rng=np.random.default_rng(1))
-    out, _ = dropout_forward_standard(y, layer, True, _mask(np.zeros(4)))
+    out, _ = dropout_forward_standard(y, layer, _mask(np.zeros(4)))
     assert not out.any()
 
 
 def test_standard_dropout_elementwise():
     y = np.array([[1.0, 2.0, 3.0, 4.0]], np.float32)
     layer = DropoutLayer(p=0.5, rng=np.random.default_rng(1))
-    out, _ = dropout_forward_standard(y, layer, True, _mask([1, 0, 1, 0]))
+    out, _ = dropout_forward_standard(y, layer, _mask([1, 0, 1, 0]))
     assert np.array_equal(out, np.array([[1.0, 0.0, 3.0, 0.0]], np.float32))
-
-
-def test_standard_dropout_inference_passthrough():
-    y = np.random.default_rng(2).normal(size=(2, 5)).astype(np.float32)
-    layer = DropoutLayer(p=0.5, rng=np.random.default_rng(1))
-    out, mask = dropout_forward_standard(y, layer, False)
-    assert np.array_equal(out, y)
-    assert mask is None
 
 
 def test_sdropout_elementwise_example():
@@ -358,10 +351,10 @@ ORIENTED = {
 }
 
 
-def _oriented(name, in_ch=2, out_ch=4, seed=30):
+def _oriented(name, in_ch=2, out_ch=4, seed=30, dtype=np.float64):
     cls, fractions = ORIENTED[name]
     layer = cls(in_ch, out_ch, 3, pad=1, rng=np.random.default_rng(seed),
-                dtype=np.float64, **fractions)
+                dtype=dtype, **fractions)
     rng = np.random.default_rng(seed + 100)
     layer.weights[...] = rng.normal(0, 0.8, layer.weights.shape)
     layer.bias[...] = rng.normal(0, 0.3, layer.bias.shape)
@@ -468,6 +461,61 @@ def test_oriented_batches_around_chunk_size(name, offset):
     assert y.shape == (n, 4, 4, 4)
     assert np.allclose(y, oracle.oriented_conv_reference(x, layer), rtol=0, atol=1e-6)
     _assert_winners(cache, _winner_reference(layer, x))
+
+
+# ---------------------------------------------------------------------------
+# Inference entry point
+# ---------------------------------------------------------------------------
+
+def _assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["conv", "relu", "prelu", "flatten", "fc"])
+def test_plain_layer_infer_equals_forward(kind, dtype):
+    rng = np.random.default_rng(40)
+    layer = {"conv": lambda: ConvLayer(3, 4, 3, stride=2, pad=1, dtype=dtype),
+             "relu": ReluLayer, "prelu": lambda: PReluLayer(3, dtype=dtype),
+             "flatten": FlattenLayer,
+             "fc": lambda: FcLayer(3 * 7 * 8, 5, dtype=dtype)}[kind]()
+    for arr in layer.params().values():
+        arr[...] = rng.normal(size=arr.shape)
+    x = rng.normal(size=(2, 3, 7, 8)).astype(dtype)
+    if kind == "fc":
+        x = x.reshape(2, -1)
+    _assert_same_bytes(layer.infer(x), layer.forward(x, {}))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,stride", [(2, 2), (3, 1), (3, 2), (2, 3)])
+def test_maxpool_infer_equals_forward(window, stride, dtype):
+    rng = np.random.default_rng(41)
+    # few distinct values plant ties; 7x8 leaves remainder rows or columns
+    x = rng.integers(0, 3, size=(2, 3, 7, 8)).astype(dtype)
+    x[0, 0, :3, :3] = 5.0
+    x[1, 2, 0, 1] = x[1, 2, 1, 0] = np.nan
+    x[1, 1, 4, 4] = np.inf
+    layer = MaxPoolLayer(window, stride)
+    y = layer.infer(x)
+    assert np.isnan(y[1, 2, 0, 0])
+    _assert_same_bytes(y, layer.forward(x, {}))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("name", ["rpc", "frpc"])
+def test_oriented_infer_equals_forward(name, n, dtype):
+    layer = _oriented(name, dtype=dtype)
+    x = np.random.default_rng(42).normal(size=(n, 2, 4, 4)).astype(dtype)
+    x[-1, 1, 2, 1] = np.nan
+    y = layer.infer(x)
+    _assert_same_bytes(y, layer.forward(x, {}))
+    # the shared chunk loop itself must cover every image
+    ref = oracle.oriented_conv_reference(x, layer)
+    assert np.isnan(y[-1, :, 1:4, 0:3]).all()
+    assert np.allclose(y, ref, rtol=0, atol=1e-5, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
