@@ -3,9 +3,10 @@ the seed, and the mode flags.
 
 Binary layout: 8-byte magic "SPINCONV", little-endian u32 format version
 (currently 1), little-endian u32 header length, UTF-8 JSON header, then the
-tensors as raw little-endian float32 in header order. A file that lacks a
-parameter tensor of the rebuilt network, or has bytes after the last
-tensor, is refused.
+tensors as raw little-endian float32 in header order. A header whose
+network fails the config's layer table or whose tensor shapes are not
+non-negative sizes, a missing parameter tensor of the rebuilt network, or
+bytes after the last tensor are refused.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .config import network_shapes
 from .errors import ConfigError, FormatError
 from .layers import NetworkSpec, _OrientedConv
 from .training import init_weights
@@ -78,6 +80,31 @@ def _read_exact(f, count, path):
     return data
 
 
+def _is_size(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_header(header, path):
+    """Raise FormatError unless the header holds what the rebuild reads."""
+    where = f"checkpoint header of {path}"
+    if not isinstance(header, dict):
+        raise FormatError(f"{where} must be an object")
+    try:
+        network_shapes(header.get("input_shape"), header.get("layers"), where)
+    except ConfigError as e:
+        raise FormatError(str(e)) from e
+    seed, tensors = header.get("seed"), header.get("tensors")
+    if not (_is_size(seed) and isinstance(tensors, list)):
+        raise FormatError(f"{where} needs a seed >= 0 and a tensor list, "
+                          f"got {seed!r} and {tensors!r}")
+    for i, t in enumerate(tensors):
+        if not (isinstance(t, dict) and isinstance(t.get("layer"), int)
+                and isinstance(t.get("name"), str) and isinstance(t.get("shape"), list)
+                and all(_is_size(v) for v in t["shape"])):
+            raise FormatError(f"{where}: tensors[{i}] needs an integer layer, a "
+                              f"name and a list of non-negative sizes, got {t!r}")
+
+
 def load_checkpoint(path):
     """Rebuild the network from a checkpoint.
 
@@ -97,10 +124,11 @@ def load_checkpoint(path):
             header = json.loads(_read_exact(f, header_len, path).decode("utf-8"))
         except ValueError as e:
             raise FormatError(f"unreadable checkpoint header in {path}: {e}") from e
+        _check_header(header, path)
 
         spec = NetworkSpec(input_shape=tuple(header["input_shape"]),
                            layers=header["layers"])
-        net = init_weights(spec, int(header["seed"]))
+        net = init_weights(spec, header["seed"])
         for idx, sel in header.get("selections", {}).items():
             layer = net.layers[int(idx)]
             layer.set_selection(sel["rotate"],

@@ -47,8 +47,6 @@ def cmd_train(args) -> int:
         raise ConfigError("config.dataset is required for training")
     if cfg.output_dir is None:
         raise ConfigError("config.output_dir is required for training")
-    with open(args.config, "r", encoding="utf-8") as f:
-        cfg_doc = json.load(f)
 
     from . import checkpoint, data, training
     from .layers import NetworkSpec
@@ -77,7 +75,7 @@ def cmd_train(args) -> int:
                         schedule, val_images, val_labels)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    config_echo = json.dumps(cfg_doc, sort_keys=True, separators=(",", ":"))
+    config_echo = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
     metrics_path = os.path.join(cfg.output_dir, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# seed={cfg.seed} config={config_echo}\n")
@@ -87,12 +85,12 @@ def cmd_train(args) -> int:
 
     ckpt_path = os.path.join(cfg.output_dir, "checkpoint.bin")
     checkpoint.save_checkpoint(net, ckpt_path, mean_image=train_ds.mean_image,
-                               extra={"config": cfg_doc, "seed": cfg.seed})
+                               extra={"config": cfg.doc, "seed": cfg.seed})
 
     run_path = os.path.join(cfg.output_dir, "run.json")
     with open(run_path, "w", encoding="utf-8", newline="\n") as f:
         json.dump({"format_version": checkpoint.FORMAT_VERSION, "seed": cfg.seed,
-                   "config": cfg_doc,
+                   "config": cfg.doc,
                    "outputs": {"checkpoint": "checkpoint.bin",
                                "metrics": "metrics.csv"}},
                   f, sort_keys=True, indent=2)

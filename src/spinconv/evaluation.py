@@ -117,15 +117,3 @@ def ten_view_predict(net, image: np.ndarray) -> np.ndarray:
     probs = np.asarray(softmax(net.forward_inference(views)), dtype=np.float64)
     return probs.mean(axis=0)
 
-
-def per_image_trace(net, image: np.ndarray, true_label: int, angles,
-                    mean_image=None):
-    """(angle, probability of the true label) rows for one image; pass the
-    preprocessing mean to rotate in original intensity space."""
-    rows = []
-    for angle in angles:
-        rotated = _rotated(image[None], angle, mean_image)[0]
-        logits = predict_logits(net, rotated[None])
-        p = float(np.asarray(softmax(logits), dtype=np.float64)[0, true_label])
-        rows.append((angle, p))
-    return rows

@@ -162,7 +162,6 @@ class OrientationBank:
 
     variants: list = field(default_factory=list)
     mode: str = "rotate8"
-    source_filter_index: int = -1
 
     def __len__(self):
         return len(self.variants)
@@ -181,8 +180,7 @@ class OrientationBank:
         return flip_kernel(grad_variant, axis)
 
 
-def build_orientation_bank(kernel: np.ndarray, mode: str,
-                           source_filter_index: int = -1) -> OrientationBank:
+def build_orientation_bank(kernel: np.ndarray, mode: str) -> OrientationBank:
     """All transformed variants of a kernel under the given mode.
 
     plain: the kernel alone. rotate8: 8 rotations in 45-degree steps (ring
@@ -204,5 +202,4 @@ def build_orientation_bank(kernel: np.ndarray, mode: str,
     else:
         axis = "left_right" if mode == "flip_lr" else "up_down"
         variants = [kernel.copy(), flip_kernel(kernel, axis)]
-    return OrientationBank(variants=variants, mode=mode,
-                           source_filter_index=source_filter_index)
+    return OrientationBank(variants=variants, mode=mode)

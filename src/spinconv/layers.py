@@ -20,7 +20,7 @@ first maximum winning.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -459,10 +459,6 @@ class RpcConvLayer(_OrientedConv):
                          rotate_fraction=rotate_fraction, flip_fraction=0.0,
                          rng=rng, dtype=dtype)
 
-    @property
-    def selected_indices(self):
-        return self.rotate_set
-
 
 class FrpcConvLayer(_OrientedConv):
     """Flip-rotate-pooling convolution: disjoint filter subsets pool over 8
@@ -577,19 +573,12 @@ class NetworkSpec:
 
     Each descriptor is a dict with a 'kind' key (conv, rpc_conv, frpc_conv,
     maxpool, relu, prelu, flatten, fc, dropout) and that kind's
-    hyperparameters; sizes that follow from the previous layer (input
-    channels, fc input width) are inferred at build time.
+    hyperparameters, kept as given; `config.network_shapes` fills in the
+    defaults and infers input channels and fc input widths.
     """
 
     input_shape: tuple  # (C, H, W)
-    layers: list = None
-
-    def __post_init__(self):
-        if self.layers is None:
-            self.layers = []
-        if len(self.input_shape) != 3:
-            raise ConfigError(
-                f"input_shape must be (channels, height, width), got {self.input_shape}")
+    layers: list = field(default_factory=list)
 
 
 class Network:

@@ -93,15 +93,15 @@ def tie_break(responses: np.ndarray) -> int:
 
 
 def oriented_banks(layer):
-    """OrientationBank per pooled filter of an rpc/frpc layer, rebuilt from
-    its current weights: rotated filters first, then flipped ones, each in
-    filter index order."""
+    """(filter index, OrientationBank) per pooled filter of an rpc/frpc
+    layer, rebuilt from its current weights: rotated filters first, then
+    flipped ones, each in filter index order."""
     out = []
     for f in layer.rotate_set:
-        out.append(kt.build_orientation_bank(layer.weights[f], "rotate8", int(f)))
+        out.append((int(f), kt.build_orientation_bank(layer.weights[f], "rotate8")))
     for f in layer.flip_set:
         mode = "flip_lr" if layer.flip_axes[int(f)] == "left_right" else "flip_ud"
-        out.append(kt.build_orientation_bank(layer.weights[f], mode, int(f)))
+        out.append((int(f), kt.build_orientation_bank(layer.weights[f], mode)))
     return out
 
 
@@ -112,8 +112,7 @@ def oriented_conv_reference(x: np.ndarray, layer) -> np.ndarray:
     filter's map with the explicit max of its variants' responses.
     """
     y = naive_conv(x, layer.conv_params())
-    for bank in oriented_banks(layer):
-        f = bank.source_filter_index
+    for f, bank in oriented_banks(layer):
         resps = [naive_conv(x, ConvParams(v[None], layer.bias[f:f + 1],
                                           layer.stride, layer.pad))[:, 0]
                  for v in bank.variants]

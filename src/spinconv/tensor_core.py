@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import conv_output_size
 from .errors import ConsistencyError, DimensionError, InputError
 
 
@@ -78,15 +79,6 @@ class ConvParams:
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
-
-def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
-    out = (size + 2 * pad - k) // stride + 1
-    if out < 1:
-        raise DimensionError(
-            f"convolution output would be empty: input {size}, kernel {k}, "
-            f"stride {stride}, pad {pad}")
-    return out
-
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     """Return ([C*k*k, N*H'*W'] float64 column matrix, H', W').
@@ -180,11 +172,8 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = T
     if x.ndim != 4:
         raise DimensionError(f"pool input must be 4-d [N,C,H,W], got shape {x.shape}")
     n, c, h, w = x.shape
-    if window > h or window > w:
-        raise DimensionError(
-            f"pool window {window} exceeds input spatial size {h}x{w}")
-    h_out = (h - window) // stride + 1
-    w_out = (w - window) // stride + 1
+    h_out = conv_output_size(h, window, stride, 0)
+    w_out = conv_output_size(w, window, stride, 0)
     # one strided view per window position, in row-major window order
     views = [x[:, :, a:a + stride * (h_out - 1) + 1:stride,
                b:b + stride * (w_out - 1) + 1:stride]

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import network_shapes
 from .errors import ConfigError, ConsistencyError, InputError, NumericalAbort
 from .layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
                      FrpcConvLayer, MaxPoolLayer, Network, NetworkSpec,
                      PReluLayer, ReluLayer, RpcConvLayer)
-from .tensor_core import conv_output_size, softmax, softmax_cross_entropy
+from .tensor_core import softmax, softmax_cross_entropy
 
 WEIGHT_INIT_STD = 0.01
 BIAS_INIT = 1.0
@@ -65,93 +66,38 @@ def sgd_momentum_step(net: Network, state: OptimizerState):
 # Initialization
 # ---------------------------------------------------------------------------
 
-def _build_layer(desc: dict, shape, rng_select, rng_mask_seeds, dtype):
-    """Construct one layer from its descriptor given the incoming shape.
-
-    Returns (layer, output_shape). Shapes are (C, H, W) before flatten and
-    (d,) after.
-    """
-    kind = desc.get("kind")
-    d = dict(desc)
-    d.pop("kind", None)
-
-    def need(key, default=None):
-        if key in d:
-            return d.pop(key)
-        if default is not None:
-            return default
-        raise ConfigError(f"layer {kind!r} is missing required field {key!r}")
-
-    if kind in ("conv", "rpc_conv", "frpc_conv"):
-        if len(shape) != 3:
-            raise ConfigError(f"{kind} layer needs image input, got shape {shape}")
-        c, h, w = shape
-        out_ch = int(need("out_channels"))
-        k = int(need("kernel"))
-        stride = int(need("stride", 1))
-        pad = int(need("pad", 0))
-        if kind == "conv":
-            layer = ConvLayer(c, out_ch, k, stride, pad, dtype=dtype)
-        elif kind == "rpc_conv":
-            layer = RpcConvLayer(c, out_ch, k, stride, pad,
-                                 rotate_fraction=float(need("rotate_fraction", 0.5)),
-                                 rng=rng_select, dtype=dtype)
-        else:
-            layer = FrpcConvLayer(c, out_ch, k, stride, pad,
-                                  rotate_fraction=float(need("rotate_fraction", 0.25)),
-                                  flip_fraction=float(need("flip_fraction", 0.25)),
-                                  rng=rng_select, dtype=dtype)
-        out = (out_ch, conv_output_size(h, k, stride, pad),
-               conv_output_size(w, k, stride, pad))
-    elif kind == "maxpool":
-        if len(shape) != 3:
-            raise ConfigError(f"maxpool layer needs image input, got shape {shape}")
-        c, h, w = shape
-        win = int(need("window"))
-        stride = int(need("stride", win))
-        layer = MaxPoolLayer(win, stride)
-        out = (c, (h - win) // stride + 1, (w - win) // stride + 1)
-    elif kind == "relu":
-        layer, out = ReluLayer(), shape
-    elif kind == "prelu":
-        layer, out = PReluLayer(shape[0], dtype=dtype), shape
-    elif kind == "flatten":
-        layer, out = FlattenLayer(), (int(np.prod(shape)),)
-    elif kind == "fc":
-        if len(shape) != 1:
-            raise ConfigError(f"fc layer needs flat input, got shape {shape}")
-        out_f = int(need("out_features"))
-        layer, out = FcLayer(shape[0], out_f, dtype=dtype), (out_f,)
-    elif kind == "dropout":
-        if len(shape) != 1:
-            raise ConfigError(f"dropout layer needs flat input, got shape {shape}")
-        layer = DropoutLayer(p=float(need("p", 0.5)),
-                             mode=str(need("mode", "standard")),
-                             rng=np.random.default_rng(rng_mask_seeds.pop(0)))
-        out = shape
-    else:
-        raise ConfigError(f"unknown layer kind {kind!r}")
-    if d:
-        raise ConfigError(f"unknown fields for layer {kind!r}: {sorted(d)}")
-    return layer, out
+def _construct(fields: dict, shape, rng_select, mask_seeds, dtype):
+    """The layer for one entry of the shape pass; in-sizes come from `shape`."""
+    args = {k: v for k, v in fields.items() if k != "kind"}
+    constructors = {
+        "conv": lambda: ConvLayer(shape[0], **args, dtype=dtype),
+        "rpc_conv": lambda: RpcConvLayer(shape[0], **args, rng=rng_select, dtype=dtype),
+        "frpc_conv": lambda: FrpcConvLayer(shape[0], **args, rng=rng_select, dtype=dtype),
+        "maxpool": lambda: MaxPoolLayer(**args),
+        "relu": ReluLayer,
+        "prelu": lambda: PReluLayer(shape[0], dtype=dtype),
+        "flatten": FlattenLayer,
+        "fc": lambda: FcLayer(shape[0], **args, dtype=dtype),
+        "dropout": lambda: DropoutLayer(
+            **args, rng=np.random.default_rng(mask_seeds.pop(0))),
+    }
+    return constructors[fields["kind"]]()
 
 
 def init_weights(spec: NetworkSpec, seed: int, dtype=np.float32) -> Network:
     """Materialize a network: Gaussian(0, 0.01) weights, biases 1, PReLU
     slopes 0.25, with all random draws (init, filter selection, dropout
-    masks, batch shuffling) on independent child streams of the seed."""
+    masks, batch shuffling) on independent child streams of the seed. The
+    layers come from `config.network_shapes`, which raises ConfigError."""
+    plan = network_shapes(spec.input_shape, spec.layers, "network")
     ss = np.random.SeedSequence(seed)
     init_ss, select_ss, mask_ss, shuffle_ss = ss.spawn(4)
     rng_init = np.random.default_rng(init_ss)
     rng_select = np.random.default_rng(select_ss)
-    n_dropout = sum(1 for l in spec.layers if l.get("kind") == "dropout")
+    n_dropout = sum(1 for fields, _, _ in plan if fields["kind"] == "dropout")
     mask_seeds = list(mask_ss.spawn(max(n_dropout, 1)))
-
-    layers = []
-    shape = tuple(spec.input_shape)
-    for desc in spec.layers:
-        layer, shape = _build_layer(desc, shape, rng_select, mask_seeds, dtype)
-        layers.append(layer)
+    layers = [_construct(fields, shape, rng_select, mask_seeds, dtype)
+              for fields, shape, _ in plan]
 
     for layer in layers:
         for name, arr in layer.params().items():

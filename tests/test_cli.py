@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -120,14 +121,19 @@ def test_train_requires_dataset(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
-def _assert_config_error_exit(*argv):
-    """`spinconv <argv>` in a fresh process exits 2 with an error line."""
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def _assert_config_error_exit(*argv, code=2):
+    """`spinconv <argv>` in a fresh process exits `code` (2 by default, a
+    config error) with an error line."""
     p = subprocess.run([sys.executable, "-m", "spinconv", *argv],
-                       capture_output=True, text=True, env=env, timeout=120)
-    assert p.returncode == 2, p.stderr
+                       capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert p.returncode == code, p.stderr
     assert "error:" in p.stderr
     assert "Traceback" not in p.stderr
     return p.stderr
@@ -164,6 +170,33 @@ def test_train_layer_input_rank_exit_code(tmp_path, layers):
     cfg_path, _ = _config(tmp_path, network={"input_shape": [1, 28, 28],
                                              "layers": layers})
     _assert_config_error_exit("train", "--config", cfg_path)
+
+
+@pytest.mark.parametrize("layers", [
+    [{"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
+     {"kind": "relu"},
+     {"kind": "maxpool", "window": 40}],
+    [{"kind": "maxpool", "window": 2},
+     {"kind": "relu"},
+     {"kind": "conv", "out_channels": 4, "kernel": 15}],
+], ids=["pool_window_over_input", "conv_kernel_over_padded_input"])
+def test_train_geometry_error_exits_before_reading_data(tmp_path, layers):
+    # the dataset files do not exist: reading them first would exit 3
+    cfg_path, _ = _config(tmp_path, network={
+        "input_shape": [1, 28, 28],
+        "layers": layers + [{"kind": "flatten"}, {"kind": "fc", "out_features": 4}]},
+        dataset={"kind": "idx", "images": str(tmp_path / "missing-images.idx"),
+                 "labels": str(tmp_path / "missing-labels.idx")})
+    stderr = _assert_config_error_exit("train", "--config", cfg_path)
+    assert "config.network.layers[2]" in stderr
+
+
+def test_cli_and_config_import_without_numpy():
+    # the CLI pins BLAS threads in the environment before numpy first loads
+    code = "import sys, spinconv.cli, spinconv.config; sys.exit('numpy' in sys.modules)"
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=_src_env(), timeout=120)
+    assert p.returncode == 0, p.stderr or "numpy was imported"
 
 
 def test_train_on_empty_idx_exit_code(tmp_path):
@@ -215,6 +248,35 @@ def test_eval_corrupt_checkpoint(overfit_run, tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(bad),
                      "--images", images, "--labels", labels]) == 3
     assert "magic" in capsys.readouterr().err
+
+
+def _drop_input_shape(header):
+    del header["input_shape"]
+
+
+def _negative_tensor_shape(header):
+    header["tensors"][0]["shape"] = [-2, 1, 3, 3]
+
+
+def _unknown_layer_kind(header):
+    header["layers"][0]["kind"] = "warp"
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_input_shape, _negative_tensor_shape, _unknown_layer_kind],
+    ids=["no_input_shape", "negative_tensor_shape", "unknown_layer_kind"])
+def test_eval_bad_checkpoint_header_exit_code(overfit_run, tmp_path, mutate):
+    ckpt, images, labels = overfit_run
+    raw = open(ckpt, "rb").read()
+    header_len = struct.unpack("<I", raw[12:16])[0]
+    header = json.loads(raw[16:16 + header_len])
+    mutate(header)
+    blob = json.dumps(header).encode()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob
+                    + raw[16 + header_len:])
+    _assert_config_error_exit("eval", "--checkpoint", str(bad), "--images", images,
+                              "--labels", labels, code=3)
 
 
 # ---------------------------------------------------------------------------

@@ -245,34 +245,3 @@ def test_ten_view_constant_net_equals_single_view():
     single = np.asarray(softmax(np.array([[0.3, 1.2, -0.5]])),
                         dtype=np.float64)[0]
     np.testing.assert_allclose(probs, single, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# per_image_trace
-# ---------------------------------------------------------------------------
-
-def test_trace_angle_zero_is_plain_probability(trained):
-    net, ds = trained
-    image, label = ds.images[0], int(ds.labels[0])
-    rows = ev.per_image_trace(net, image, label, [0.0, 30.0])
-    logits = ev.predict_logits(net, image[None])
-    p_plain = float(np.asarray(softmax(logits), dtype=np.float64)[0, label])
-    assert rows[0] == (0.0, p_plain)
-    assert len(rows) == 2
-
-
-def test_trace_probabilities_in_unit_interval(trained):
-    net, ds = trained
-    image, label = ds.images[3], int(ds.labels[3])
-    rows = ev.per_image_trace(net, image, label, ev.sweep_angles(8),
-                              mean_image=ds.mean_image)
-    assert all(0.0 <= p <= 1.0 for _, p in rows)
-
-
-def test_trace_disk_image_is_flat(trained):
-    net, ds = trained
-    idx = int(np.flatnonzero(ds.labels == 3)[0])
-    rows = ev.per_image_trace(net, ds.images[idx], 3, ev.sweep_angles(8),
-                              mean_image=ds.mean_image)
-    probs = [p for _, p in rows]
-    assert max(probs) - min(probs) <= 0.05

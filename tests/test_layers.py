@@ -331,12 +331,6 @@ def test_rpc_90_degree_equivariance_quick():
     assert err.max() <= 1e-5
 
 
-def test_rpc_selected_indices_property():
-    layer = RpcConvLayer(1, 8, 3, rotate_fraction=0.5,
-                         rng=np.random.default_rng(29))
-    assert np.array_equal(layer.selected_indices, layer.rotate_set)
-
-
 # ---------------------------------------------------------------------------
 # RPC / FRPC winner maps
 # ---------------------------------------------------------------------------
@@ -365,8 +359,7 @@ def _winner_reference(layer, x):
     """np.argmax over the stacked per-variant responses, each computed by
     oracle.naive_conv on one bank variant; None where the bank is absent."""
     maps = {"rot_win": [], "flip_win": []}
-    for bank in oracle.oriented_banks(layer):
-        f = bank.source_filter_index
+    for f, bank in oracle.oriented_banks(layer):
         resps = [oracle.naive_conv(x, tc.ConvParams(v[None], layer.bias[f:f + 1],
                                                      layer.stride, layer.pad))[:, 0]
                  for v in bank.variants]
