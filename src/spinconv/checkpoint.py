@@ -4,13 +4,20 @@ the seed, and the mode flags.
 Binary layout: 8-byte magic "SPINCONV", little-endian u32 format version
 (currently 1), little-endian u32 header length, UTF-8 JSON header, then the
 tensors as raw little-endian float32 in header order. A header whose
-network fails the config's layer table or whose tensor shapes are not
-non-negative sizes, a missing parameter tensor of the rebuilt network, or
-bytes after the last tensor are refused.
+network fails the config's layer table, whose tensor shapes are not
+non-negative sizes or do not add up to the payload, or whose selections do
+not fit the rpc/frpc layers of the rebuilt network is refused, as are a
+missing parameter tensor and non-finite tensor values.
+
+A checkpoint is written to a temporary file beside the target and renamed
+over it, so a failed write leaves any earlier checkpoint as it was.
 """
 from __future__ import annotations
 
 import json
+import math
+import os
+import re
 import struct
 
 import numpy as np
@@ -64,12 +71,19 @@ def save_checkpoint(net, path, mean_image: np.ndarray = None, extra: dict = None
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
-        f.write(blob)
-        for arr in payload:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
+            f.write(blob)
+            for arr in payload:
+                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(f, count, path):
@@ -80,8 +94,13 @@ def _read_exact(f, count, path):
     return data
 
 
-def _is_size(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _key_index(key):
+    """The integer a JSON object key spells in canonical decimal, else None."""
+    return int(key) if re.fullmatch(r"0|-?[1-9][0-9]*", key) else None
 
 
 def _check_header(header, path):
@@ -94,15 +113,37 @@ def _check_header(header, path):
     except ConfigError as e:
         raise FormatError(str(e)) from e
     seed, tensors = header.get("seed"), header.get("tensors")
-    if not (_is_size(seed) and isinstance(tensors, list)):
+    if not (_is_int(seed) and seed >= 0 and isinstance(tensors, list)):
         raise FormatError(f"{where} needs a seed >= 0 and a tensor list, "
                           f"got {seed!r} and {tensors!r}")
     for i, t in enumerate(tensors):
         if not (isinstance(t, dict) and isinstance(t.get("layer"), int)
                 and isinstance(t.get("name"), str) and isinstance(t.get("shape"), list)
-                and all(_is_size(v) for v in t["shape"])):
+                and all(_is_int(v) and v >= 0 for v in t["shape"])):
             raise FormatError(f"{where}: tensors[{i}] needs an integer layer, a "
                               f"name and a list of non-negative sizes, got {t!r}")
+    if not isinstance(header.get("selections", {}), dict):
+        raise FormatError(f"{where}: selections must be an object")
+
+
+def _set_selections(net, selections, where):
+    """Install each stored selection on its rpc/frpc layer; FormatError
+    unless it names such a layer and fits its filters."""
+    for idx, sel in selections.items():
+        i = _key_index(idx)
+        layer = net.layers[i] if i is not None and 0 <= i < len(net.layers) else None
+        if not (isinstance(layer, _OrientedConv) and isinstance(sel, dict)
+                and isinstance(sel.get("rotate"), list)
+                and all(_is_int(f) for f in sel["rotate"])
+                and isinstance(sel.get("flip_axes"), dict)
+                and all(_key_index(f) is not None for f in sel["flip_axes"])):
+            raise FormatError(f"{where}: selections[{idx!r}] must give an rpc/frpc "
+                              f"layer a rotate list and a flip_axes object, got {sel!r}")
+        try:
+            layer.set_selection(sel["rotate"], {_key_index(f): ax
+                                                for f, ax in sel["flip_axes"].items()})
+        except ConfigError as e:
+            raise FormatError(f"{where}: selections[{idx!r}]: {e}") from e
 
 
 def load_checkpoint(path):
@@ -125,23 +166,32 @@ def load_checkpoint(path):
         except ValueError as e:
             raise FormatError(f"unreadable checkpoint header in {path}: {e}") from e
         _check_header(header, path)
+        need = sum(4 * math.prod(t["shape"]) for t in header["tensors"])
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if need > left:
+            raise OSError(f"truncated checkpoint {path}: its tensors need {need} "
+                          f"bytes, {left} follow the header")
+        if need < left:
+            raise FormatError(f"trailing bytes after the last tensor in {path}: "
+                              f"its tensors need {need} bytes, {left} follow the header")
 
         spec = NetworkSpec(input_shape=tuple(header["input_shape"]),
                            layers=header["layers"])
         net = init_weights(spec, header["seed"])
-        for idx, sel in header.get("selections", {}).items():
-            layer = net.layers[int(idx)]
-            layer.set_selection(sel["rotate"],
-                                {int(k): v for k, v in sel["flip_axes"].items()})
+        _set_selections(net, header.get("selections", {}),
+                        f"checkpoint header of {path}")
         net.inference = bool(header.get("inference", False))
 
         mean_image = None
         params = {(i, name): arr for i, name, arr in net.named_params()}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(f, 4 * count, path)
+            raw = _read_exact(f, 4 * math.prod(shape), path)
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            # a float64 sum of float32 values is finite exactly when they all are
+            if not np.isfinite(arr.sum(dtype=np.float64)):
+                raise FormatError(f"checkpoint tensor ({entry['layer']}, "
+                                  f"{entry['name']!r}) holds non-finite values ({path})")
             if entry["name"] == "mean_image":
                 mean_image = arr.astype(np.float32)
                 continue
@@ -158,7 +208,5 @@ def load_checkpoint(path):
             del params[key]
         if params:
             raise FormatError(f"checkpoint lacks tensors {sorted(params)} ({path})")
-        if f.read(1):
-            raise FormatError(f"trailing bytes after the last tensor in {path}")
     meta = {"mean_image": mean_image, "header": header}
     return net, meta

@@ -34,6 +34,17 @@ def _load_dataset(dcfg: dict):
     return data.make_rotated_shapes(dcfg["n_per_class"], dcfg["seed"])
 
 
+def _check_labels(labels, input_shape, layers, name):
+    """Exit 2 unless every label indexes one of the network's outputs; the
+    width is the first axis of the final output shape."""
+    from .config import network_shapes
+    width = network_shapes(input_shape, layers, "network")[-1][2][0]
+    if labels.size and (labels.min() < 0 or labels.max() >= width):
+        raise ConfigError(f"{name}: labels must lie in [0, {width}) for a network "
+                          f"with {width} outputs, got [{labels.min()}, {labels.max()}]")
+    return width
+
+
 def _fit_images(images, target):
     from .data import center_crop
     if images.shape[-1] != target or images.shape[-2] != target:
@@ -52,9 +63,11 @@ def cmd_train(args) -> int:
     from .layers import NetworkSpec
 
     train_ds = data.preprocess(_load_dataset(cfg.dataset))
+    _check_labels(train_ds.labels, cfg.input_shape, cfg.layers, "config.dataset")
     val_images = val_labels = None
     if cfg.val_dataset is not None:
         val_ds = data.preprocess(_load_dataset(cfg.val_dataset), train_ds.mean_image)
+        _check_labels(val_ds.labels, cfg.input_shape, cfg.layers, "config.val_dataset")
         val_images, val_labels = val_ds.images, val_ds.labels
 
     spec = NetworkSpec(input_shape=cfg.input_shape, layers=cfg.layers)
@@ -122,7 +135,8 @@ def cmd_eval(args) -> int:
     net, meta = _load_inference_net(args.checkpoint)
     ds = data.preprocess(data.load_idx(args.images, args.labels),
                          meta["mean_image"])
-    n_classes = net.spec.layers[-1].get("out_features") or int(ds.labels.max()) + 1
+    n_classes = _check_labels(ds.labels, net.spec.input_shape, net.spec.layers,
+                              args.labels)
     k5 = min(5, n_classes)
     if args.ten_view:
         probs = np.stack([evaluation.ten_view_predict(net, img)
@@ -144,6 +158,7 @@ def cmd_sweep(args) -> int:
     net, meta = _load_inference_net(args.checkpoint)
     ds = data.preprocess(data.load_idx(args.images, args.labels),
                          meta["mean_image"])
+    _check_labels(ds.labels, net.spec.input_shape, net.spec.layers, args.labels)
     angles = evaluation.sweep_angles(args.angles)
     report = evaluation.rotation_sweep(net, ds, angles,
                                        batch_size=args.batch_size,

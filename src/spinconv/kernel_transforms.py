@@ -9,10 +9,15 @@ Kernels larger than 3x3 fall back to bilinear resampling.
 All transforms act on the trailing two (spatial) axes and apply identically
 to every leading axis (channels, filters), so both [C,k,k] kernels and whole
 [O,C,k,k] weight tensors can be passed.
+
+Every variant is a fixed linear map of the one stored kernel. `bank_maps`
+returns a bank's maps as a [S, k*k, k*k] matrix stack, which expands a
+kernel into its S variants; the backward of that expansion is the
+transposed stack, so the forward and its adjoint are one set of numbers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
@@ -65,13 +70,12 @@ def rotate_kernel_45_ring(kernel: np.ndarray, steps: int) -> np.ndarray:
 # Bilinear rotation for k > 3
 # ---------------------------------------------------------------------------
 
-def bilinear_rotation_map(k: int, degrees: float):
-    """Sparse map of a clockwise rotation on a k x k grid.
+def bilinear_rotation_map(k: int, degrees: float) -> np.ndarray:
+    """Dense [k*k, k*k] matrix M of a clockwise rotation on a k x k grid.
 
-    Returns (dest_idx, src_idx, weights): flat index arrays and tap weights
-    such that out.flat[dest] += w * in.flat[src] realizes the rotation
-    (inverse mapping about the grid center, up to 4 taps per destination
-    cell; source coordinates outside the grid contribute nothing).
+    out.flat = M @ in.flat: each destination cell reads its source point by
+    inverse mapping about the grid center, up to 4 bilinear taps; source
+    points outside the grid contribute nothing.
     """
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -89,26 +93,13 @@ def bilinear_rotation_map(k: int, degrees: float):
     fr = row_s - r0
     fc = col_s - c0
 
-    dest, src, wts = [], [], []
+    m = np.zeros((k * k, k * k))
     for dr, dc, w in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
                       (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
         rr, cc = r0 + dr, c0 + dc
         ok = (rr >= 0) & (rr < k) & (cc >= 0) & (cc < k) & (w > 0)
-        dest.append(np.nonzero(ok)[0])
-        src.append(rr[ok] * k + cc[ok])
-        wts.append(w[ok])
-    return np.concatenate(dest), np.concatenate(src), np.concatenate(wts)
-
-
-def _apply_map(kernel: np.ndarray, dest, src, wts, transpose: bool) -> np.ndarray:
-    k = kernel.shape[-1]
-    flat = kernel.reshape(-1, k * k)
-    out = np.zeros_like(flat, dtype=np.result_type(kernel, np.float64))
-    if transpose:
-        np.add.at(out, (slice(None), src), flat[:, dest] * wts)
-    else:
-        np.add.at(out, (slice(None), dest), flat[:, src] * wts)
-    return out.reshape(kernel.shape).astype(kernel.dtype, copy=False)
+        m[np.nonzero(ok)[0], rr[ok] * k + cc[ok]] = w[ok]
+    return m
 
 
 def rotate_kernel_bilinear(kernel: np.ndarray, degrees: float) -> np.ndarray:
@@ -121,18 +112,9 @@ def rotate_kernel_bilinear(kernel: np.ndarray, degrees: float) -> np.ndarray:
     k = _check_square(kernel, "rotate_kernel_bilinear")
     if k % 2 == 0:
         raise DimensionError(f"bilinear rotation needs an odd kernel size, got {k}")
-    dest, src, wts = bilinear_rotation_map(k, degrees)
-    return _apply_map(kernel, dest, src, wts, transpose=False)
-
-
-def rotate_kernel_bilinear_adjoint(grad: np.ndarray, degrees: float) -> np.ndarray:
-    """Transpose of the bilinear rotation map (routes variant gradients back
-    to the source kernel)."""
-    k = _check_square(grad, "rotate_kernel_bilinear_adjoint")
-    if k % 2 == 0:
-        raise DimensionError(f"bilinear rotation needs an odd kernel size, got {k}")
-    dest, src, wts = bilinear_rotation_map(k, degrees)
-    return _apply_map(grad, dest, src, wts, transpose=True)
+    flat = kernel.reshape(-1, k * k).astype(np.float64, copy=False)
+    out = flat @ bilinear_rotation_map(k, degrees).T
+    return out.reshape(kernel.shape).astype(kernel.dtype, copy=False)
 
 
 def flip_kernel(kernel: np.ndarray, axis: str) -> np.ndarray:
@@ -152,36 +134,9 @@ def flip_kernel(kernel: np.ndarray, axis: str) -> np.ndarray:
 BANK_MODES = ("plain", "rotate8", "flip_lr", "flip_ud")
 
 
-@dataclass
-class OrientationBank:
-    """Transformed variants of one kernel; index 0 is always untransformed.
-
-    The variants are derived arrays, not independent parameters: rebuild the
-    bank after every weight update so it reflects the shared source kernel.
-    """
-
-    variants: list = field(default_factory=list)
-    mode: str = "rotate8"
-
-    def __len__(self):
-        return len(self.variants)
-
-    def pullback(self, variant_index: int, grad_variant: np.ndarray) -> np.ndarray:
-        """Route a gradient w.r.t. variant `variant_index` back onto the
-        source kernel (inverse permutation, or bilinear transpose)."""
-        if self.mode == "rotate8":
-            k = grad_variant.shape[-1]
-            if k == 3:
-                return rotate_kernel_45_ring(grad_variant, (8 - variant_index) % 8)
-            return rotate_kernel_bilinear_adjoint(grad_variant, 45.0 * variant_index)
-        if variant_index == 0:
-            return grad_variant.copy()
-        axis = "left_right" if self.mode == "flip_lr" else "up_down"
-        return flip_kernel(grad_variant, axis)
-
-
-def build_orientation_bank(kernel: np.ndarray, mode: str) -> OrientationBank:
-    """All transformed variants of a kernel under the given mode.
+def build_orientation_bank(kernel: np.ndarray, mode: str) -> list:
+    """All transformed variants of a kernel under the given mode; index 0
+    is always the kernel itself.
 
     plain: the kernel alone. rotate8: 8 rotations in 45-degree steps (ring
     permutation for 3x3, bilinear otherwise). flip_lr / flip_ud: the kernel
@@ -194,12 +149,25 @@ def build_orientation_bank(kernel: np.ndarray, mode: str) -> OrientationBank:
         if k % 2 == 0:
             raise DimensionError(f"rotate8 needs an odd kernel size, got {k}")
         if k == 3:
-            variants = [rotate_kernel_45_ring(kernel, s) for s in range(8)]
-        else:
-            variants = [rotate_kernel_bilinear(kernel, 45.0 * s) for s in range(8)]
-    elif mode == "plain":
-        variants = [kernel.copy()]
-    else:
-        axis = "left_right" if mode == "flip_lr" else "up_down"
-        variants = [kernel.copy(), flip_kernel(kernel, axis)]
-    return OrientationBank(variants=variants, mode=mode)
+            return [rotate_kernel_45_ring(kernel, s) for s in range(8)]
+        return [rotate_kernel_bilinear(kernel, 45.0 * s) for s in range(8)]
+    if mode == "plain":
+        return [kernel.copy()]
+    axis = "left_right" if mode == "flip_lr" else "up_down"
+    return [kernel.copy(), flip_kernel(kernel, axis)]
+
+
+@functools.lru_cache(maxsize=None)
+def bank_maps(mode: str, k: int) -> np.ndarray:
+    """Read-only float64 [S, k*k, k*k] stack of the bank's linear maps:
+    variant s of a kernel is maps[s] @ kernel.flat, and a gradient on that
+    variant pulls back onto the kernel as maps[s].T @ grad.flat.
+
+    Column j of maps[s] is variant s of the j-th unit kernel, so the maps
+    are exactly what build_orientation_bank computes.
+    """
+    units = np.eye(k * k).reshape(k * k, k, k)
+    maps = np.stack(build_orientation_bank(units, mode)).reshape(-1, k * k, k * k)
+    maps = np.ascontiguousarray(maps.transpose(0, 2, 1))
+    maps.flags.writeable = False
+    return maps

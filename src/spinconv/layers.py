@@ -247,8 +247,9 @@ class _OrientedConv(Layer):
     `cache["rot_win"]` [N, rotated filters, H', W'] and `cache["flip_win"]`
     [N, flipped filters, H', W'] (None without that bank). `infer` skips
     the winner count and keeps no cache; its output is the same. The
-    backward routes each gradient only to its winning variant and pulls the
-    kernel gradients back through the inverse transforms.
+    variants are the weights times the `kernel_transforms.bank_maps`
+    matrices; the backward routes each gradient only to its winning variant
+    and pulls the kernel gradients back through the transposed maps.
 
     Ties are decided on the computed responses. Identical expanded kernel
     rows need not come out of the float64 GEMM bit-identical, so in float64
@@ -277,8 +278,6 @@ class _OrientedConv(Layer):
         self.bias = np.zeros(out_channels, dtype)
         self.stride = stride
         self.pad = pad
-        self.rotate_fraction = rotate_fraction
-        self.flip_fraction = flip_fraction
 
         n_rot = int(round(rotate_fraction * out_channels))
         n_flip = int(round(flip_fraction * out_channels))
@@ -298,20 +297,25 @@ class _OrientedConv(Layer):
     # -- selection layout -------------------------------------------------
     def set_selection(self, rotate_indices, flip_axes: dict):
         """Install the fixed filter selection (also used by checkpoint load)."""
-        out_channels = self.weights.shape[0]
-        self.rotate_set = np.array(sorted(int(i) for i in rotate_indices), dtype=int)
-        self.flip_axes = {int(k): v for k, v in flip_axes.items()}
-        self.flip_set = np.array(sorted(self.flip_axes), dtype=int)
-        if np.intersect1d(self.rotate_set, self.flip_set).size:
-            raise ConfigError("rotate and flip selections must be disjoint")
-        for f, ax in self.flip_axes.items():
-            if ax not in kt.FLIP_AXES:
-                raise ConfigError(f"bad flip axis {ax!r} for filter {f}")
+        out_channels, _, k, _ = self.weights.shape
+        rotate = [int(i) for i in rotate_indices]
+        flip_axes = {int(f): ax for f, ax in flip_axes.items()}
+        chosen = rotate + list(flip_axes)
+        if (len(set(chosen)) < len(chosen) or not all(0 <= i < out_channels for i in chosen)
+                or not all(ax in kt.FLIP_AXES for ax in flip_axes.values())):
+            raise ConfigError(
+                f"selection rotate {rotate}, flip {flip_axes} needs distinct filters "
+                f"in [0, {out_channels}) and flip axes in {kt.FLIP_AXES}")
+        self.rotate_set = np.array(sorted(rotate), dtype=int)
+        self.flip_axes = flip_axes
+        self.flip_set = np.array(sorted(flip_axes), dtype=int)
         plain = np.setdiff1d(np.arange(out_channels),
                              np.concatenate((self.rotate_set, self.flip_set)))
-        flip_axis = np.array([self.flip_axes[int(f)] for f in self.flip_set])
-        # (bank mode, filters, winner-map key, the filters' rows in that map)
-        self._groups = []
+        flip_axis = np.array([flip_axes[int(f)] for f in self.flip_set])
+        # (bank maps, filters, winner-map key, the filters' rows in that map,
+        # first expanded row): variant s of a group's m filters owns the
+        # expanded rows first + s*m .. first + (s+1)*m
+        self._groups, row = [], 0
         for mode, filters, key, pooled in (
                 ("plain", plain, None, plain),
                 ("rotate8", self.rotate_set, "rot_win", self.rotate_set),
@@ -320,7 +324,10 @@ class _OrientedConv(Layer):
                 ("flip_ud", self.flip_set[flip_axis == "up_down"], "flip_win",
                  self.flip_set)):
             if filters.size:
-                self._groups.append((mode, filters, key, np.searchsorted(pooled, filters)))
+                maps = kt.bank_maps(mode, k)
+                self._groups.append((maps, filters, key,
+                                     np.searchsorted(pooled, filters), row))
+                row += len(maps) * filters.size
 
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
@@ -329,23 +336,19 @@ class _OrientedConv(Layer):
         return ConvParams(self.weights, self.bias, self.stride, self.pad)
 
     # -- forward / backward ----------------------------------------------
-    def _layout(self, banks):
-        """(group, bank, first expanded row) per group; variant s of the
-        group owns rows first + s*m .. first + (s+1)*m for its m filters."""
-        row = 0
-        for group, bank in zip(self._groups, banks):
-            yield group, bank, row
-            row += len(bank) * group[1].size
-
     def _pooled(self, x, winners: bool):
         """(pooled output, winner maps keyed like the cache, expanded conv
-        params, banks); the winner maps stay None unless `winners`."""
-        banks = [kt.build_orientation_bank(self.weights[f], mode)
-                 for mode, f, _, _ in self._groups]
+        params); the winner maps stay None unless `winners`."""
+        _, c, k, _ = self.weights.shape
+        # each group's [m*C, k*k] weights times its transposed maps, in
+        # float64: [S, m*C, k*k], so variant s of filter i is row s*m + i
+        expanded = np.concatenate([
+            np.matmul(self.weights[f].reshape(-1, k * k), maps.transpose(0, 2, 1))
+            .reshape(-1, k * k) for maps, f, *_ in self._groups])
         params = ConvParams(
-            np.concatenate([v for b in banks for v in b.variants]),
-            np.concatenate([np.tile(self.bias[f], len(b))
-                            for (_, f, _, _), b in zip(self._groups, banks)]),
+            expanded.astype(self.weights.dtype, copy=False).reshape(-1, c, k, k),
+            np.concatenate([np.tile(self.bias[f], len(maps))
+                            for maps, f, *_ in self._groups]),
             self.stride, self.pad)
         n = x.shape[0]
         out = None
@@ -359,23 +362,19 @@ class _OrientedConv(Layer):
                                     ("flip_win", self.flip_set)):
                     if winners and pooled.size:
                         wins[key] = np.empty((n, pooled.size) + y.shape[2:], np.int8)
-            for (_, f, key, pos), bank, row in self._layout(banks):
+            for maps, f, key, pos, row in self._groups:
                 m = f.size
                 best, win = _pool_variants(
-                    [y[:, row + s * m:row + (s + 1) * m] for s in range(len(bank))],
+                    [y[:, row + s * m:row + (s + 1) * m] for s in range(len(maps))],
                     winners)
                 out[a:a + _CHUNK, f] = best
                 if win is not None:
                     wins[key][a:a + _CHUNK, pos] = win
-        return out, wins, params, banks
+        return out, wins, params
 
     def forward(self, x, cache):
-        out, wins, params, banks = self._pooled(x, winners=True)
-        cache["x"] = x
-        cache["params"] = params
-        cache["banks"] = banks
-        cache.update(wins)
-        cache["out_shape"] = out.shape
+        out, wins, params = self._pooled(x, winners=True)
+        cache.update(wins, x=x, params=params, out_shape=out.shape)
         return out
 
     def infer(self, x):
@@ -389,30 +388,30 @@ class _OrientedConv(Layer):
             raise ConsistencyError(
                 f"grad_out shape {grad_out.shape} does not match cached forward "
                 f"output {cache['out_shape']}; stale cache?")
-        params, banks = cache["params"], cache["banks"]
+        params = cache["params"]
         n, _, h, w = grad_out.shape
         # channel-major, so the rows of each variant are one contiguous block
         g = np.zeros((params.out_channels, n, h, w), dtype=grad_out.dtype)
-        for (_, f, key, pos), bank, row in self._layout(banks):
+        for maps, f, key, pos, row in self._groups:
             m = f.size
             g_f = grad_out.transpose(1, 0, 2, 3)[f]
-            if len(bank) == 1:
-                g[row:row + m] = g_f
-                continue
-            win = cache[key].transpose(1, 0, 2, 3)[pos]
-            for s in range(len(bank)):
+            # a plain group has one variant and no winner map
+            win = cache[key].transpose(1, 0, 2, 3)[pos] if key else 0
+            for s in range(len(maps)):
                 np.copyto(g[row + s * m:row + (s + 1) * m], g_f, where=win == s)
         gx, gw_exp, gb_exp = conv2d_backward(g.transpose(1, 0, 2, 3), cache["x"], params)
 
         gw = np.zeros_like(self.weights)
         gb = np.zeros_like(self.bias)
-        for (_, f, _, _), bank, row in self._layout(banks):
-            m = f.size
-            for s in range(len(bank)):
-                gw[f] += bank.pullback(s, gw_exp[row + s * m:row + (s + 1) * m])
+        for maps, f, _, _, row in self._groups:
+            s, m = len(maps), f.size
+            # [S, m*C, k*k] variant gradients times the maps, cast, then
+            # summed over the variants in variant order
+            pulled = np.matmul(gw_exp[row:row + s * m].reshape(s, -1, maps.shape[-1]), maps)
+            pulled = pulled.astype(gw.dtype, copy=False)
+            gw[f] = pulled.sum(axis=0).reshape(m, *gw.shape[1:])
             # summed as [filter, variant] rows
-            gb_f = gb_exp[row:row + len(bank) * m].reshape(len(bank), m)
-            gb[f] = np.ascontiguousarray(gb_f.T).sum(axis=1)
+            gb[f] = gb_exp[row:row + s * m].reshape(s, m).T.copy().sum(axis=1)
         self._accumulate("weights", gw)
         self._accumulate("bias", gb)
         return gx

@@ -93,9 +93,9 @@ def tie_break(responses: np.ndarray) -> int:
 
 
 def oriented_banks(layer):
-    """(filter index, OrientationBank) per pooled filter of an rpc/frpc
-    layer, rebuilt from its current weights: rotated filters first, then
-    flipped ones, each in filter index order."""
+    """(filter index, build_orientation_bank variants) per pooled filter of
+    an rpc/frpc layer, rebuilt from its current weights: rotated filters
+    first, then flipped ones, each in filter index order."""
     out = []
     for f in layer.rotate_set:
         out.append((int(f), kt.build_orientation_bank(layer.weights[f], "rotate8")))
@@ -115,7 +115,7 @@ def oriented_conv_reference(x: np.ndarray, layer) -> np.ndarray:
     for f, bank in oriented_banks(layer):
         resps = [naive_conv(x, ConvParams(v[None], layer.bias[f:f + 1],
                                           layer.stride, layer.pad))[:, 0]
-                 for v in bank.variants]
+                 for v in bank]
         y[:, f] = np.max(np.stack(resps, axis=0), axis=0)
     return y
 

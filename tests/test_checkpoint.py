@@ -165,3 +165,16 @@ def test_trailing_bytes_are_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0" * 4)
     with pytest.raises(FormatError, match="trailing"):
         ck.load_checkpoint(str(path))
+
+
+def test_failed_save_leaves_earlier_checkpoint(tmp_path):
+    path = tmp_path / "model.bin"
+    ck.save_checkpoint(_net(), str(path))
+    before = path.read_bytes()
+    # the mean image is the last payload tensor; a string cannot be written
+    # as float32, so the save fails after the weights went out
+    bad_mean = np.full((1, 6, 6), "x", dtype=object)
+    with pytest.raises(ValueError):
+        ck.save_checkpoint(_net(seed=6), str(path), mean_image=bad_mean)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]

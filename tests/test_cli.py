@@ -250,6 +250,21 @@ def test_eval_corrupt_checkpoint(overfit_run, tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def _tampered(ckpt, tmp_path, mutate, payload=None):
+    """A copy of the checkpoint with its header passed through `mutate` and,
+    if given, its tensor bytes through `payload`."""
+    raw = open(ckpt, "rb").read()
+    header_len = struct.unpack("<I", raw[12:16])[0]
+    header = json.loads(raw[16:16 + header_len])
+    mutate(header)
+    blob = json.dumps(header).encode()
+    body = raw[16 + header_len:]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob
+                    + (payload(body) if payload else body))
+    return str(bad)
+
+
 def _drop_input_shape(header):
     del header["input_shape"]
 
@@ -262,21 +277,96 @@ def _unknown_layer_kind(header):
     header["layers"][0]["kind"] = "warp"
 
 
+def _oversized_tensor_shape(header):
+    header["tensors"][0]["shape"] = [2147483648, 2147483648]
+
+
 @pytest.mark.parametrize("mutate", [
-    _drop_input_shape, _negative_tensor_shape, _unknown_layer_kind],
-    ids=["no_input_shape", "negative_tensor_shape", "unknown_layer_kind"])
+    _drop_input_shape, _negative_tensor_shape, _unknown_layer_kind,
+    _oversized_tensor_shape],
+    ids=["no_input_shape", "negative_tensor_shape", "unknown_layer_kind",
+         "oversized_tensor_shape"])
 def test_eval_bad_checkpoint_header_exit_code(overfit_run, tmp_path, mutate):
     ckpt, images, labels = overfit_run
-    raw = open(ckpt, "rb").read()
-    header_len = struct.unpack("<I", raw[12:16])[0]
-    header = json.loads(raw[16:16 + header_len])
-    mutate(header)
-    blob = json.dumps(header).encode()
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob
-                    + raw[16 + header_len:])
-    _assert_config_error_exit("eval", "--checkpoint", str(bad), "--images", images,
+    bad = _tampered(ckpt, tmp_path, mutate)
+    _assert_config_error_exit("eval", "--checkpoint", bad, "--images", images,
                               "--labels", labels, code=3)
+
+
+@pytest.fixture(scope="module")
+def rpc_checkpoint(tmp_path_factory):
+    """An untrained 3-layer network whose rpc layer rotates 2 of 4 filters,
+    saved with a mean image, plus IDX files it can evaluate."""
+    from spinconv import checkpoint, training
+    from spinconv.layers import NetworkSpec
+    tmp = tmp_path_factory.mktemp("rpc")
+    spec = NetworkSpec(input_shape=(1, 28, 28), layers=[
+        {"kind": "rpc_conv", "out_channels": 4, "kernel": 3, "stride": 4,
+         "rotate_fraction": 0.5},
+        {"kind": "flatten"},
+        {"kind": "fc", "out_features": 4}])
+    path = str(tmp / "rpc.bin")
+    checkpoint.save_checkpoint(training.init_weights(spec, seed=2), path,
+                               mean_image=np.zeros((1, 28, 28), np.float32))
+    return (path,) + _write_eval_idx(tmp)
+
+
+def _selection(value, index="0"):
+    def mutate(header):
+        header["selections"] = {index: value}
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _selection({"rotate": [0, 2], "flip_axes": {}}, index="7"),
+    _selection({"rotate": [99], "flip_axes": {}}),
+    _selection({"rotate": [0], "flip_axes": {}}, index="2"),
+    _selection("rotate"),
+    _selection({"rotate": [1, 1], "flip_axes": {}}),
+    _selection({"rotate": [-1], "flip_axes": {}})],
+    ids=["layer_out_of_range", "rotate_index_99", "fc_layer", "not_an_object",
+         "duplicate_rotate", "negative_rotate"])
+def test_eval_bad_selection_exit_code(rpc_checkpoint, tmp_path, mutate):
+    ckpt, images, labels = rpc_checkpoint
+    bad = _tampered(ckpt, tmp_path, mutate)
+    _assert_config_error_exit("eval", "--checkpoint", bad, "--images", images,
+                              "--labels", labels, code=3)
+
+
+def test_eval_non_finite_tensor_exit_code(overfit_run, tmp_path):
+    ckpt, images, labels = overfit_run
+    bad = _tampered(ckpt, tmp_path, lambda header: None,
+                    lambda body: np.float32(np.nan).tobytes() + body[4:])
+    _assert_config_error_exit("eval", "--checkpoint", bad, "--images", images,
+                              "--labels", labels, code=3)
+
+
+def _write_label_overflow_idx(tmp_path):
+    """The eval set with one label equal to the class count 4."""
+    ds = data.make_rotated_shapes(2, seed=1)
+    ds.labels[0] = 4
+    ip = str(tmp_path / "overflow-images.idx")
+    lp = str(tmp_path / "overflow-labels.idx")
+    data.write_idx(ds, ip, lp)
+    return ip, lp
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_label_outside_network_outputs_exit_code(overfit_run, tmp_path, command):
+    ckpt, _, _ = overfit_run
+    images, labels = _write_label_overflow_idx(tmp_path)
+    extra = ["--angles", "2", "--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    err = _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
+                                    "--labels", labels, *extra)
+    assert labels in err
+
+
+def test_train_val_label_outside_network_outputs_exit_code(tmp_path):
+    images, labels = _write_label_overflow_idx(tmp_path)
+    cfg_path, _ = _config(tmp_path, val_dataset={"kind": "idx", "images": images,
+                                                 "labels": labels})
+    err = _assert_config_error_exit("train", "--config", cfg_path)
+    assert "config.val_dataset" in err
 
 
 # ---------------------------------------------------------------------------

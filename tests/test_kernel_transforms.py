@@ -135,7 +135,8 @@ def test_bilinear_adjoint_is_transpose():
     k = rng.normal(size=(1, 5, 5))
     g = rng.normal(size=(1, 5, 5))
     lhs = np.sum(kt.rotate_kernel_bilinear(k, 45.0) * g)
-    rhs = np.sum(k * kt.rotate_kernel_bilinear_adjoint(g, 45.0))
+    # variant 1 of the rotate8 bank is the 45-degree turn
+    rhs = np.sum(k.ravel() * (kt.bank_maps("rotate8", 5)[1].T @ g.ravel()))
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -166,9 +167,9 @@ def test_bank_rotate8_has_eight_variants():
     rng = np.random.default_rng(9)
     k = rng.normal(size=(2, 3, 3))
     bank = kt.build_orientation_bank(k, "rotate8")
-    assert len(bank.variants) == 8
-    assert np.array_equal(bank.variants[0], k)
-    for v in bank.variants:
+    assert len(bank) == 8
+    assert np.array_equal(bank[0], k)
+    for v in bank:
         assert v.shape == k.shape
 
 
@@ -177,16 +178,16 @@ def test_bank_flip_has_two_variants():
     k = rng.normal(size=(2, 3, 3))
     for mode, ax in (("flip_lr", "left_right"), ("flip_ud", "up_down")):
         bank = kt.build_orientation_bank(k, mode)
-        assert len(bank.variants) == 2
-        assert np.array_equal(bank.variants[0], k)
-        assert np.array_equal(bank.variants[1], kt.flip_kernel(k, ax))
+        assert len(bank) == 2
+        assert np.array_equal(bank[0], k)
+        assert np.array_equal(bank[1], kt.flip_kernel(k, ax))
 
 
 def test_bank_symmetric_kernel_all_variants_identical():
     k = np.full((1, 3, 3), 2.0)
     k[0, 1, 1] = -1.0
     bank = kt.build_orientation_bank(k, "rotate8")
-    for v in bank.variants:
+    for v in bank:
         assert np.array_equal(v, k)
 
 
@@ -195,7 +196,7 @@ def test_bank_delta_kernel():
     k[0, 1, 1] = 1.0
     for mode in ("plain", "rotate8", "flip_lr", "flip_ud"):
         bank = kt.build_orientation_bank(k, mode)
-        for v in bank.variants:
+        for v in bank:
             assert np.array_equal(v, k)
 
 
@@ -203,9 +204,9 @@ def test_bank_closed_under_ring_shift():
     rng = np.random.default_rng(11)
     k = rng.normal(size=(1, 3, 3))
     bank = kt.build_orientation_bank(k, "rotate8")
-    shifted = [kt.rotate_kernel_45_ring(v, 1) for v in bank.variants]
+    shifted = [kt.rotate_kernel_45_ring(v, 1) for v in bank]
     for i, s in enumerate(shifted):
-        assert np.array_equal(s, bank.variants[(i + 1) % 8])
+        assert np.array_equal(s, bank[(i + 1) % 8])
 
 
 def test_bank_reflects_weight_updates():
@@ -214,7 +215,7 @@ def test_bank_reflects_weight_updates():
     b1 = kt.build_orientation_bank(k, "rotate8")
     k += 1.0
     b2 = kt.build_orientation_bank(k, "rotate8")
-    for v1, v2 in zip(b1.variants, b2.variants):
+    for v1, v2 in zip(b1, b2):
         assert np.allclose(v2, v1 + 1.0)
 
 
@@ -222,13 +223,15 @@ def test_bank_uses_bilinear_for_larger_kernels():
     rng = np.random.default_rng(13)
     k = rng.normal(size=(1, 5, 5))
     bank = kt.build_orientation_bank(k, "rotate8")
-    assert len(bank.variants) == 8
-    assert np.abs(bank.variants[2] - kt.rotate_kernel_90(k, 1)).max() <= 1e-6
+    assert len(bank) == 8
+    assert np.abs(bank[2] - kt.rotate_kernel_90(k, 1)).max() <= 1e-6
 
 
 def test_bank_pullback_inverts_ring_variants():
     rng = np.random.default_rng(14)
     k = rng.normal(size=(2, 3, 3))
     bank = kt.build_orientation_bank(k, "rotate8")
-    for i, v in enumerate(bank.variants):
-        assert np.array_equal(bank.pullback(i, v), k)
+    maps = kt.bank_maps("rotate8", 3)
+    for i, v in enumerate(bank):
+        # each row times maps[i] is maps[i].T applied to that kernel
+        assert np.array_equal((v.reshape(-1, 9) @ maps[i]).reshape(k.shape), k)

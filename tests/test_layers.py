@@ -345,9 +345,9 @@ ORIENTED = {
 }
 
 
-def _oriented(name, in_ch=2, out_ch=4, seed=30, dtype=np.float64):
+def _oriented(name, in_ch=2, out_ch=4, seed=30, dtype=np.float64, kernel=3):
     cls, fractions = ORIENTED[name]
-    layer = cls(in_ch, out_ch, 3, pad=1, rng=np.random.default_rng(seed),
+    layer = cls(in_ch, out_ch, kernel, pad=kernel // 2, rng=np.random.default_rng(seed),
                 dtype=dtype, **fractions)
     rng = np.random.default_rng(seed + 100)
     layer.weights[...] = rng.normal(0, 0.8, layer.weights.shape)
@@ -362,8 +362,8 @@ def _winner_reference(layer, x):
     for f, bank in oracle.oriented_banks(layer):
         resps = [oracle.naive_conv(x, tc.ConvParams(v[None], layer.bias[f:f + 1],
                                                      layer.stride, layer.pad))[:, 0]
-                 for v in bank.variants]
-        key = "rot_win" if bank.mode == "rotate8" else "flip_win"
+                 for v in bank]
+        key = "rot_win" if f in layer.rotate_set else "flip_win"
         maps[key].append(np.argmax(np.stack(resps), axis=0))
     return {key: np.stack(m, axis=1) if m else None for key, m in maps.items()}
 
@@ -454,6 +454,46 @@ def test_oriented_batches_around_chunk_size(name, offset):
     assert y.shape == (n, 4, 4, 4)
     assert np.allclose(y, oracle.oriented_conv_reference(x, layer), rtol=0, atol=1e-6)
     _assert_winners(cache, _winner_reference(layer, x))
+
+
+# ---------------------------------------------------------------------------
+# Kernel 5: the rotate8 bank resamples bilinearly
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["rpc", "frpc"])
+def test_oriented_kernel5_matches_reference(name):
+    layer = _oriented(name, kernel=5)
+    x = np.random.default_rng(36).normal(size=(3, 2, 7, 7))
+    ref = oracle.oriented_conv_reference(x, layer)
+    cache = {}
+    assert np.allclose(layer.forward(x, cache), ref, rtol=0, atol=1e-6)
+    assert np.allclose(layer.infer(x), ref, rtol=0, atol=1e-6)
+    _assert_winners(cache, _winner_reference(layer, x))
+
+
+@pytest.mark.parametrize("name", ["rpc", "frpc"])
+def test_oriented_kernel5_gradients_match_finite_differences(name):
+    layer = _oriented(name, kernel=5)
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(2, 2, 6, 6))
+    proj = rng.uniform(0.5, 1.5, (2, 4, 6, 6)) * rng.choice([-1.0, 1.0], (2, 4, 6, 6))
+    cache = {}
+    layer.forward(x, cache)
+    layer.grads = {}
+    gx = layer.backward(proj, cache)
+
+    def loss():
+        c = {}
+        value = float(np.sum(layer.forward(x, c) * proj))
+        # a probe that moves a winner would leave the linear piece
+        for key in ("rot_win", "flip_win"):
+            assert c[key] is None or np.array_equal(c[key], cache[key]), key
+        return value
+
+    for arr, analytic in ((x, gx), (layer.weights, layer.grads["weights"]),
+                          (layer.bias, layer.grads["bias"])):
+        numeric = oracle.finite_difference(loss, arr)
+        assert oracle.relative_error(numeric, analytic).max() <= 1e-4
 
 
 # ---------------------------------------------------------------------------
