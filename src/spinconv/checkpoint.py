@@ -188,8 +188,11 @@ def load_checkpoint(path):
             shape = tuple(entry["shape"])
             raw = _read_exact(f, 4 * math.prod(shape), path)
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
-            # a float64 sum of float32 values is finite exactly when they all are
-            if not np.isfinite(arr.sum(dtype=np.float64)):
+            # a float64 sum of float32 values is finite exactly when they all
+            # are; +inf plus -inf is NaN, which needs no warning
+            with np.errstate(invalid="ignore"):
+                finite = np.isfinite(arr.sum(dtype=np.float64))
+            if not finite:
                 raise FormatError(f"checkpoint tensor ({entry['layer']}, "
                                   f"{entry['name']!r}) holds non-finite values ({path})")
             if entry["name"] == "mean_image":

@@ -75,10 +75,7 @@ def cmd_train(args) -> int:
     state = training.OptimizerState(learning_rate=cfg.learning_rate,
                                     momentum=cfg.momentum,
                                     batch_size=cfg.batch_size)
-    schedule = training.LrSchedule(
-        kind=cfg.schedule.get("kind", "plateau"),
-        factor=float(cfg.schedule.get("factor", 0.1)),
-        patience=int(cfg.schedule.get("patience", 2)))
+    schedule = training.LrSchedule(**cfg.schedule)
 
     target = cfg.input_shape[1]
     images = _fit_images(train_ds.images, target)

@@ -1,18 +1,20 @@
 """Run configuration: a single JSON document, strictly validated.
 
 Unknown keys are rejected everywhere (typo protection) and every error
-names the offending field. `LAYER_KINDS` describes each layer kind once:
-fields with defaults and range checks, input rank, output-shape rule.
-`network_shapes` runs it as a dry shape pass, so geometry errors surface
-before any data is read; `training.init_weights` and checkpoint loading use
-the same pass. This module stays importable without numpy so the CLI can
-pin thread counts before any numerical code loads.
+names the offending field. Field tables hold each field's default and range
+check, and one resolver reads them all: `RUN_FIELDS` for the document,
+`SCHEDULE_FIELDS`, `DATASET_KINDS`, and `LAYER_KINDS`, which also gives
+each layer kind its input rank and output-shape rule. `network_shapes` runs
+the layer table as a dry shape pass, so geometry errors surface before any
+data is read; `training.init_weights` and checkpoint loading use the same
+pass. This module stays importable without numpy so the CLI can pin thread
+counts before any numerical code loads.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, DimensionError
@@ -37,14 +39,6 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _pos_int(d, key, where, default=None, minimum=1):
-    v = d.get(key, default)
-    _require(v is not None, f"{where}.{key} is required")
-    _require(_is_int(v) and v >= minimum,
-             f"{where}.{key} must be an integer >= {minimum}, got {v!r}")
-    return v
-
-
 def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
     """Output length of conv and pooling: a k-wide window, `pad` cells a side."""
     out = (size + 2 * pad - k) // stride + 1
@@ -60,7 +54,7 @@ def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
 # ---------------------------------------------------------------------------
 
 class LayerKind(NamedTuple):
-    fields: dict          # name -> (default or REQUIRED, (description, test))
+    fields: dict          # name -> (default or REQUIRED, check), as _resolve reads
     rank: int             # input rank it needs: 3 images, 1 vectors, None either
     out_shape: Callable   # (resolved fields, input shape) -> output shape
     rule: tuple = None    # (test over the resolved fields, message template)
@@ -70,6 +64,8 @@ REQUIRED = object()
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _ODD = ("an odd integer >= 1", lambda v: _is_int(v) and v >= 1 and v % 2 == 1)
 _FRACTION = ("within [0, 1]", lambda v: _is_real(v) and 0.0 <= v <= 1.0)
+_SEED = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+_PATH = ("a non-empty path", lambda v: isinstance(v, str) and v != "")
 _CONV_FIELDS = {"out_channels": (REQUIRED, _COUNT), "kernel": (REQUIRED, _ODD),
                 "stride": (1, _COUNT),
                 "pad": (0, ("an integer >= 0", lambda v: _is_int(v) and v >= 0))}
@@ -112,25 +108,46 @@ LAYER_KINDS = {
 }
 
 
-def validate_layer(desc: dict, where: str) -> dict:
-    """Resolve one layer descriptor through LAYER_KINDS: its kind plus every
-    field of that kind, given or defaulted, each range-checked."""
+def _resolve(desc, fields: dict, where: str, **given) -> dict:
+    """`given` plus every field of `fields`, given in `desc` or defaulted,
+    each checked; other keys in `desc` are refused.
+
+    A field is (default or REQUIRED, check). A callable default is computed
+    from the fields resolved before it. A check is (description, test), or a
+    callable (value, where) that returns the resolved value.
+    """
     _require(isinstance(desc, dict), f"{where} must be an object, got {desc!r}")
-    kind = desc.get("kind")
-    _require(isinstance(kind, str) and kind in LAYER_KINDS,
-             f"{where}.kind must be one of {sorted(LAYER_KINDS)}, got {kind!r}")
-    entry = LAYER_KINDS[kind]
-    _check_keys(desc, ("kind",) + tuple(entry.fields), where)
-    fields = {"kind": kind}
-    for key, (default, (description, test)) in entry.fields.items():
+    _check_keys(desc, (*given, *fields), where)
+    out = dict(given)
+    for key, (default, check) in fields.items():
         if key in desc:
             v = desc[key]
         else:
-            _require(default is not REQUIRED,
-                     f"{where}.{key} is required for kind {kind!r}")
-            v = default(fields) if callable(default) else default
-        _require(test(v), f"{where}.{key} must be {description}, got {v!r}")
-        fields[key] = v
+            _require(default is not REQUIRED, f"{where}.{key} is required")
+            v = default(out) if callable(default) else default
+        if callable(check):
+            v = check(v, f"{where}.{key}")
+        else:
+            description, test = check
+            _require(test(v), f"{where}.{key} must be {description}, got {v!r}")
+        out[key] = v
+    return out
+
+
+def _kind_of(desc, kinds: dict, where: str) -> str:
+    _require(isinstance(desc, dict), f"{where} must be an object, got {desc!r}")
+    kind = desc.get("kind")
+    _require(isinstance(kind, str) and kind in kinds,
+             f"{where}.kind must be one of {sorted(kinds)}, got {kind!r}")
+    return kind
+
+
+def validate_layer(desc: dict, where: str) -> dict:
+    """Resolve one layer descriptor through LAYER_KINDS: its kind plus every
+    field of that kind, given or defaulted, each range-checked."""
+    kind = _kind_of(desc, LAYER_KINDS, where)
+    entry = LAYER_KINDS[kind]
+    fields = _resolve(desc, entry.fields, where, kind=kind)
     if entry.rule is not None:
         test, message = entry.rule
         _require(test(fields), f"{where}: " + message.format(**fields))
@@ -164,85 +181,78 @@ def network_shapes(input_shape, layers, where: str) -> list:
     return plan
 
 
-def validate_dataset(d: dict, where: str) -> dict:
-    _require(isinstance(d, dict), f"{where} must be an object")
-    kind = d.get("kind")
-    if kind == "idx":
-        _check_keys(d, ("kind", "images", "labels"), where)
-        for key in ("images", "labels"):
-            _require(isinstance(d.get(key), str) and d[key],
-                     f"{where}.{key} must be a file path")
-    elif kind == "synthetic_shapes":
-        _check_keys(d, ("kind", "n_per_class", "seed"), where)
-        _pos_int(d, "n_per_class", where)
-        _pos_int(d, "seed", where, minimum=0)
-    else:
-        raise ConfigError(f"{where}.kind must be 'idx' or 'synthetic_shapes', "
-                          f"got {kind!r}")
-    return d
+# ---------------------------------------------------------------------------
+# Run document
+# ---------------------------------------------------------------------------
+
+DATASET_KINDS = {
+    "idx": {"images": (REQUIRED, _PATH), "labels": (REQUIRED, _PATH)},
+    "synthetic_shapes": {"n_per_class": (REQUIRED, _COUNT), "seed": (REQUIRED, _SEED)},
+}
+
+SCHEDULE_FIELDS = {
+    "kind": ("plateau", ("'fixed' or 'plateau'", lambda v: v in ("fixed", "plateau"))),
+    "factor": (0.1, ("within (0, 1)", lambda v: _is_real(v) and 0.0 < v < 1.0)),
+    "patience": (2, _COUNT),
+}
+
+
+def _dataset(desc, where):
+    if desc is None:
+        return None
+    kind = _kind_of(desc, DATASET_KINDS, where)
+    return _resolve(desc, DATASET_KINDS[kind], where, kind=kind)
+
+
+def _network(desc, where):
+    # the shape pass checks both fields
+    _require(isinstance(desc, dict), f"{where} must be an object, got {desc!r}")
+    _check_keys(desc, ("input_shape", "layers"), where)
+    network_shapes(desc.get("input_shape"), desc.get("layers"), where)
+    return desc
+
+
+RUN_FIELDS = {
+    "seed": (REQUIRED, _SEED),
+    "epochs": (10, _COUNT),
+    "batch_size": (128, _COUNT),
+    "learning_rate": (0.2, ("a finite number > 0",
+                            lambda v: _is_real(v) and 0.0 < v < math.inf)),
+    "momentum": (0.9, ("within [0, 1)", lambda v: _is_real(v) and 0.0 <= v < 1.0)),
+    "schedule": ({}, lambda v, where: _resolve(v, SCHEDULE_FIELDS, where)),
+    "network": (REQUIRED, _network),
+    "dataset": (None, _dataset),
+    "val_dataset": (None, _dataset),
+    "output_dir": (None, ("a non-empty path",
+                          lambda v: v is None or (isinstance(v, str) and v != ""))),
+}
 
 
 @dataclass
 class RunConfig:
+    """A run document resolved through RUN_FIELDS; `doc` is the document as
+    given, echoed into the run artifacts."""
+
     seed: int
     input_shape: tuple
     layers: list
-    epochs: int = 10
-    batch_size: int = 128
-    learning_rate: float = 0.2
-    momentum: float = 0.9
-    schedule: dict = field(default_factory=lambda: {"kind": "plateau",
-                                                    "factor": 0.1, "patience": 2})
-    dataset: dict = None
-    val_dataset: dict = None
-    output_dir: str = None
-    doc: dict = None  # the parsed document, echoed into the run artifacts
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    momentum: float
+    schedule: dict  # LrSchedule keyword arguments
+    dataset: dict
+    val_dataset: dict
+    output_dir: str
+    doc: dict
 
 
 def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(doc, dict), "config root must be a JSON object")
-    _check_keys(doc, ("seed", "epochs", "batch_size", "learning_rate", "momentum",
-                      "schedule", "network", "dataset", "val_dataset",
-                      "output_dir"), "config")
-    seed = _pos_int(doc, "seed", "config", minimum=0)
-
-    net = doc.get("network")
-    _require(isinstance(net, dict), "config.network is required")
-    _check_keys(net, ("input_shape", "layers"), "config.network")
-    network_shapes(net.get("input_shape"), net.get("layers"), "config.network")
-
-    lr = doc.get("learning_rate", 0.2)
-    _require(isinstance(lr, (int, float)) and lr > 0,
-             f"config.learning_rate must be positive, got {lr!r}")
-    momentum = doc.get("momentum", 0.9)
-    _require(isinstance(momentum, (int, float)) and 0.0 <= momentum < 1.0,
-             f"config.momentum must be within [0, 1), got {momentum!r}")
-
-    schedule = doc.get("schedule", {"kind": "plateau", "factor": 0.1, "patience": 2})
-    _require(isinstance(schedule, dict), "config.schedule must be an object")
-    _check_keys(schedule, ("kind", "factor", "patience"), "config.schedule")
-    _require(schedule.get("kind", "plateau") in ("fixed", "plateau"),
-             f"config.schedule.kind must be 'fixed' or 'plateau', "
-             f"got {schedule.get('kind')!r}")
-
-    dataset = doc.get("dataset")
-    if dataset is not None:
-        dataset = validate_dataset(dataset, "config.dataset")
-    val_dataset = doc.get("val_dataset")
-    if val_dataset is not None:
-        val_dataset = validate_dataset(val_dataset, "config.val_dataset")
-
-    output_dir = doc.get("output_dir")
-    _require(output_dir is None or (isinstance(output_dir, str) and output_dir),
-             f"config.output_dir must be a non-empty path, got {output_dir!r}")
-
-    return RunConfig(seed=seed, input_shape=tuple(net["input_shape"]),
-                     layers=net["layers"],
-                     epochs=_pos_int(doc, "epochs", "config", default=10),
-                     batch_size=_pos_int(doc, "batch_size", "config", default=128),
-                     learning_rate=float(lr), momentum=float(momentum),
-                     schedule=schedule, dataset=dataset, val_dataset=val_dataset,
-                     output_dir=output_dir, doc=doc)
+    run = _resolve(doc, RUN_FIELDS, "config")
+    net = run.pop("network")
+    return RunConfig(input_shape=tuple(net["input_shape"]), layers=net["layers"],
+                     doc=doc, **run)
 
 
 def load_config(path) -> RunConfig:

@@ -226,19 +226,16 @@ def _rotation_sources(h: int, w: int, degrees: float):
 
 
 def rotate_image(image: np.ndarray, degrees: float) -> np.ndarray:
-    """Clockwise rotation of a [C,H,W] image about its center, bilinear
-    inverse mapping, zero fill outside the frame."""
+    """rotate_batch for one [C,H,W] image."""
     if image.ndim != 3:
         raise DimensionError(f"rotate_image wants [C,H,W], got shape {image.shape}")
-    c, h, w = image.shape
-    row_s, col_s = _rotation_sources(h, w, degrees)
-    out = _bilinear_gather(image, row_s, col_s)
-    return out.reshape(c, h, w).astype(image.dtype, copy=False)
+    return rotate_batch(image[None], degrees)[0]
 
 
 def rotate_batch(images: np.ndarray, degrees: float) -> np.ndarray:
-    """rotate_image over a [N,C,H,W] batch with the sampling grid computed
-    once."""
+    """Clockwise rotation of each image of a [N,C,H,W] batch about its
+    center: bilinear inverse mapping with the sampling grid computed once,
+    zero fill outside the frame."""
     n, c, h, w = images.shape
     row_s, col_s = _rotation_sources(h, w, degrees)
     out = _bilinear_gather(images.reshape(n * c, h, w), row_s, col_s)

@@ -4,7 +4,8 @@ The 45-degree rotation of a 3x3 kernel is an exact permutation: the 8 cells
 surrounding the center form a ring and rotation is a cyclic shift of that
 ring. Two ring steps compose to the exact 90-degree quarter turn, so the 8
 variants form a cyclic group of order 8 and every group law holds bitwise.
-Kernels larger than 3x3 fall back to bilinear resampling.
+Kernels larger than 3x3 fall back to bilinear resampling, through the same
+sampler that rotates evaluation images.
 
 All transforms act on the trailing two (spatial) axes and apply identically
 to every leading axis (channels, filters), so both [C,k,k] kernels and whole
@@ -21,6 +22,7 @@ import functools
 
 import numpy as np
 
+from .data import rotate_batch
 from .errors import DimensionError, InputError
 
 # Flat row-major indices of the 8 ring cells of a 3x3 grid, clockwise from
@@ -66,44 +68,9 @@ def rotate_kernel_45_ring(kernel: np.ndarray, steps: int) -> np.ndarray:
     return out.reshape(kernel.shape)
 
 
-# ---------------------------------------------------------------------------
-# Bilinear rotation for k > 3
-# ---------------------------------------------------------------------------
-
-def bilinear_rotation_map(k: int, degrees: float) -> np.ndarray:
-    """Dense [k*k, k*k] matrix M of a clockwise rotation on a k x k grid.
-
-    out.flat = M @ in.flat: each destination cell reads its source point by
-    inverse mapping about the grid center, up to 4 bilinear taps; source
-    points outside the grid contribute nothing.
-    """
-    theta = np.deg2rad(degrees)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    ctr = (k - 1) / 2.0
-    rows, cols = np.mgrid[0:k, 0:k]
-    u_d = cols.ravel() - ctr
-    v_d = rows.ravel() - ctr
-    u_s = u_d * cos_t + v_d * sin_t
-    v_s = -u_d * sin_t + v_d * cos_t
-    col_s = u_s + ctr
-    row_s = v_s + ctr
-
-    r0 = np.floor(row_s).astype(int)
-    c0 = np.floor(col_s).astype(int)
-    fr = row_s - r0
-    fc = col_s - c0
-
-    m = np.zeros((k * k, k * k))
-    for dr, dc, w in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                      (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        rr, cc = r0 + dr, c0 + dc
-        ok = (rr >= 0) & (rr < k) & (cc >= 0) & (cc < k) & (w > 0)
-        m[np.nonzero(ok)[0], rr[ok] * k + cc[ok]] = w[ok]
-    return m
-
-
 def rotate_kernel_bilinear(kernel: np.ndarray, degrees: float) -> np.ndarray:
-    """Clockwise rotation about the kernel center by bilinear resampling.
+    """Clockwise rotation about the kernel center by bilinear resampling,
+    with the sampler that rotates images (`data.rotate_batch`).
 
     Exact at lattice points, so multiples of 90 degrees agree with the
     index-permutation rotation to float precision. Cells whose source falls
@@ -112,9 +79,7 @@ def rotate_kernel_bilinear(kernel: np.ndarray, degrees: float) -> np.ndarray:
     k = _check_square(kernel, "rotate_kernel_bilinear")
     if k % 2 == 0:
         raise DimensionError(f"bilinear rotation needs an odd kernel size, got {k}")
-    flat = kernel.reshape(-1, k * k).astype(np.float64, copy=False)
-    out = flat @ bilinear_rotation_map(k, degrees).T
-    return out.reshape(kernel.shape).astype(kernel.dtype, copy=False)
+    return rotate_batch(kernel.reshape(-1, 1, k, k), degrees).reshape(kernel.shape)
 
 
 def flip_kernel(kernel: np.ndarray, axis: str) -> np.ndarray:

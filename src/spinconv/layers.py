@@ -13,10 +13,10 @@ their complement, so every later layer runs both branches of the split as
 one batch through the same weights.
 
 Orientation-pooling convolution groups its filters by bank (plain, rotate8,
-flip_lr, flip_ud), convolves chunks of images with the variant-major stack
-of every bank variant in one conv call, and keeps per pooled filter the
-elementwise max over its variants' contiguous channel slices, with the
-first maximum winning.
+flip_lr, flip_ud), convolves the batch with the variant-major stack of every
+bank variant in one conv call, and keeps per pooled filter the elementwise
+max over its variants' contiguous channel slices, with the first maximum
+winning, as in max-pooling.
 """
 from __future__ import annotations
 
@@ -26,10 +26,11 @@ import numpy as np
 
 from . import kernel_transforms as kt
 from .errors import ConfigError, ConsistencyError, DimensionError, InputError
-from .tensor_core import (ConvParams, conv2d_backward, conv2d_forward,
-                          fc_backward, fc_forward, maxpool2d_backward,
-                          maxpool2d_forward, prelu_backward, prelu_forward,
-                          relu_backward, relu_forward)
+from .tensor_core import (ConvParams, _first_max, conv2d_backward,
+                          conv2d_forward, fc_backward, fc_forward,
+                          maxpool2d_backward, maxpool2d_forward,
+                          prelu_backward, prelu_forward, relu_backward,
+                          relu_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +224,6 @@ class ConvLayer(Layer):
         return gx
 
 
-# Images per conv call in the oriented forward: bounds the expanded conv
-# output and its im2col matrix, which grow with the bank sizes.
-_CHUNK = 64
-
-
 class _OrientedConv(Layer):
     """Convolution where some output filters pool over an orientation bank.
 
@@ -240,10 +236,11 @@ class _OrientedConv(Layer):
     flip_lr (2) and flip_ud (2). The expanded kernel rows run group by
     group and, inside a group, variant-major, so variant s of a group is one
     contiguous channel range of the conv output. `forward` and `infer` share
-    one loop that convolves _CHUNK images at a time and reduces each group
-    with a running max over its variant slices. `forward` also finds the
-    winner: the first maximum and, where a NaN occurs, the first NaN, as
-    np.argmax picks. It records it per position as int8 in
+    one path: expand the weights, make one conv call over the whole batch,
+    and reduce each group's variant slices with `tensor_core._first_max`,
+    the rule max-pooling uses. `forward` also keeps the winner: the first
+    maximum and, where a NaN occurs, the first NaN, as np.argmax picks. It
+    records it per position as int8 in
     `cache["rot_win"]` [N, rotated filters, H', W'] and `cache["flip_win"]`
     [N, flipped filters, H', W'] (None without that bank). `infer` skips
     the winner count and keeps no cache; its output is the same. The
@@ -350,26 +347,22 @@ class _OrientedConv(Layer):
             np.concatenate([np.tile(self.bias[f], len(maps))
                             for maps, f, *_ in self._groups]),
             self.stride, self.pad)
-        n = x.shape[0]
-        out = None
-        wins = {"rot_win": None, "flip_win": None}
-        # one pass even for an empty batch, so shape and errors come from the conv
-        for a in range(0, max(n, 1), _CHUNK):
-            y = conv2d_forward(x[a:a + _CHUNK], params)
-            if out is None:
-                out = np.empty((n, self.weights.shape[0]) + y.shape[2:], y.dtype)
+        y = conv2d_forward(x, params)
+        n, _, h, w = y.shape
+        out = np.empty((n, self.weights.shape[0], h, w), y.dtype)
+        wins = {key: np.empty((n, pooled.size, h, w), np.int8)
+                if winners and pooled.size else None
                 for key, pooled in (("rot_win", self.rotate_set),
-                                    ("flip_win", self.flip_set)):
-                    if winners and pooled.size:
-                        wins[key] = np.empty((n, pooled.size) + y.shape[2:], np.int8)
-            for maps, f, key, pos, row in self._groups:
-                m = f.size
-                best, win = _pool_variants(
-                    [y[:, row + s * m:row + (s + 1) * m] for s in range(len(maps))],
-                    winners)
-                out[a:a + _CHUNK, f] = best
-                if win is not None:
-                    wins[key][a:a + _CHUNK, pos] = win
+                                    ("flip_win", self.flip_set))}
+        for maps, f, key, pos, row in self._groups:
+            m = f.size
+            # a plain group's one slice comes through as is, with no winner
+            best, win = _first_max(
+                [y[:, row + s * m:row + (s + 1) * m] for s in range(len(maps))],
+                winners and key is not None)
+            out[:, f] = best
+            if win is not None:
+                wins[key][:, pos] = win
         return out, wins, params
 
     def forward(self, x, cache):
@@ -415,35 +408,6 @@ class _OrientedConv(Layer):
         self._accumulate("weights", gw)
         self._accumulate("bias", gb)
         return gx
-
-
-def _pool_variants(views, winners: bool):
-    """Elementwise max over the variant responses and the winning variant
-    index as int8 (None for a single variant or without `winners`).
-
-    The winner is the number of leading variants that miss the maximum.
-    np.maximum propagates NaN, so where the maximum is NaN a variant misses
-    unless it holds NaN.
-    """
-    if len(views) == 1:
-        return views[0], None
-    best = np.maximum(views[0], views[1])
-    for v in views[2:]:
-        np.maximum(best, v, out=best)
-    if not winners:
-        return best, None
-    nan_out = best != best
-    has_nan = bool(nan_out.any())
-    win = np.zeros(best.shape, dtype=np.int8)
-    missed = np.ones(best.shape, dtype=bool)
-    miss = np.empty(best.shape, dtype=bool)
-    for v in views[:-1]:
-        np.less(v, best, out=miss)
-        if has_nan:
-            miss |= nan_out & (v == v)
-        missed &= miss
-        win += missed
-    return best, win
 
 
 class RpcConvLayer(_OrientedConv):

@@ -9,13 +9,18 @@ in double precision, which is what the gradient-check suite does.
 
 Convolution is cross-correlation (no kernel mirroring) with zero padding,
 lowered to a GEMM against a channel-major [C*k*k, N*H'*W'] column matrix,
-so the product comes out as [O, N, H', W'] and needs one transpose. Conv and
+so the product comes out as [O, N, H', W'] and needs one transpose. Forward
+and backward both run over the batch _CHUNK images at a time, which bounds
+the float64 columns and products whatever the batch size; the weight and
+bias gradients are summed over the chunks in double precision. Conv and
 pool outputs and gradients are C-contiguous NCHW arrays.
 
 Max-pooling breaks ties deterministically: the first maximum in a row-major
 scan of the window wins, and a window holding NaN yields its first NaN, as
-np.argmax does. The pool backward scatter sums overlapping windows in double
-precision as well; with non-overlapping windows it only places values.
+np.argmax does. `_first_max` is that rule, and orientation pooling in
+`layers` uses it too. The pool backward scatter sums overlapping windows in
+double precision as well; with non-overlapping windows it only places
+values.
 """
 from __future__ import annotations
 
@@ -80,8 +85,15 @@ class ConvParams:
 # Convolution
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """Return ([C*k*k, N*H'*W'] float64 column matrix, H', W').
+# Images per im2col in the conv kernels: bounds the float64 column matrix
+# and the GEMM products built from it, which grow with the batch. Each
+# chunk's temporaries are deleted before the next chunk's columns are
+# built; kept alive into the next chunk they would double the peak.
+_CHUNK = 64
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """[C*k*k, N*H'*W'] float64 column matrix of x [N,C,H,W].
 
     Rows are channel-major (c, ki, kj); columns run over (n, i, j), so a
     GEMM against it yields [O, N, H', W'] directly.
@@ -100,7 +112,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     )
     # a single copy gathers the windows and upcasts them
     cols = np.ascontiguousarray(windows, dtype=np.float64)
-    return cols.reshape(c * k * k, n * h_out * w_out), h_out, w_out
+    return cols.reshape(c * k * k, n * h_out * w_out)
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -111,54 +123,97 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
         raise DimensionError(
             f"input channel axis has {x.shape[1]} channels, "
             f"weights expect {params.in_channels}")
-    n = x.shape[0]
-    o = params.out_channels
-    cols, h_out, w_out = _im2col(x, params.kernel_size, params.stride, params.pad)
+    n, _, h, w = x.shape
+    o, k = params.out_channels, params.kernel_size
+    stride, pad = params.stride, params.pad
+    h_out = conv_output_size(h, k, stride, pad)
+    w_out = conv_output_size(w, k, stride, pad)
     w_mat = np.asarray(params.weights.reshape(o, -1), dtype=np.float64)
-    y = (w_mat @ cols).reshape(o, n, h_out, w_out)
-    del cols  # lowers the peak: the output is allocated next
     bias = np.asarray(params.bias, dtype=np.float64)[:, None, None]
     out = np.empty((n, o, h_out, w_out), dtype=_working_dtype(x, params.weights))
-    np.add(y.transpose(1, 0, 2, 3), bias, out=out, casting="same_kind")
+    for a in range(0, n, _CHUNK):
+        cols = _im2col(x[a:a + _CHUNK], k, stride, pad)
+        y = (w_mat @ cols).reshape(o, -1, h_out, w_out)
+        del cols
+        np.add(y.transpose(1, 0, 2, 3), bias, out=out[a:a + _CHUNK], casting="same_kind")
+        del y
     return out
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams):
     """Gradients of the convolution: (grad_input, grad_weights, grad_bias)."""
     n, c, h, w = x.shape
-    o = params.out_channels
-    k = params.kernel_size
+    o, k = params.out_channels, params.kernel_size
     stride, pad = params.stride, params.pad
-    cols, h_out, w_out = _im2col(x, k, stride, pad)
+    h_out = conv_output_size(h, k, stride, pad)
+    w_out = conv_output_size(w, k, stride, pad)
     if grad_out.shape != (n, o, h_out, w_out):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, o, h_out, w_out)}")
     dt = _working_dtype(x, params.weights)
-
-    g = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3), dtype=np.float64).reshape(o, -1)
-    grad_bias = g.sum(axis=1)
-    grad_weights = (g @ cols.T).reshape(params.weights.shape)
-    del cols  # lowers the peak: gcols is the same size
-
     w_mat = np.asarray(params.weights.reshape(o, -1), dtype=np.float64)
-    gcols = (w_mat.T @ g).reshape(c, k, k, n, h_out, w_out)
-    gx_pad = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            gx_pad[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] \
-                += gcols[:, i, j]
     grad_input = np.empty((n, c, h, w), dtype=dt)
-    np.copyto(grad_input, gx_pad[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3),
-              casting="same_kind")
+    grad_weights = np.zeros(w_mat.shape)
+    grad_bias = np.zeros(o)
+    for a in range(0, n, _CHUNK):
+        x_a = x[a:a + _CHUNK]
+        cols = _im2col(x_a, k, stride, pad)
+        g = np.ascontiguousarray(grad_out[a:a + _CHUNK].transpose(1, 0, 2, 3),
+                                 dtype=np.float64).reshape(o, -1)
+        grad_bias += g.sum(axis=1)
+        grad_weights += g @ cols.T
+        del cols
+        gcols = (w_mat.T @ g).reshape(c, k, k, -1, h_out, w_out)
+        del g
+        gx_pad = np.zeros((c, len(x_a), h + 2 * pad, w + 2 * pad))
+        for i in range(k):
+            for j in range(k):
+                gx_pad[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] \
+                    += gcols[:, i, j]
+        del gcols
+        np.copyto(grad_input[a:a + _CHUNK],
+                  gx_pad[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3),
+                  casting="same_kind")
+        del gx_pad
     return (grad_input,
-            grad_weights.astype(dt, copy=False),
+            grad_weights.reshape(params.weights.shape).astype(dt, copy=False),
             grad_bias.astype(dt, copy=False))
 
 
 # ---------------------------------------------------------------------------
 # Max pooling
 # ---------------------------------------------------------------------------
+
+def _first_max(views, winners: bool):
+    """Elementwise max over equally shaped views and, with `winners`, the
+    index of the view that wins it (None otherwise): the first maximum, or
+    where a NaN occurs the first NaN, as np.argmax picks. The index dtype is
+    the smallest signed integer that holds -len(views). A single view comes
+    back as it is, not copied.
+
+    The winner is the number of leading views that miss the maximum.
+    np.maximum propagates NaN, so where the maximum is NaN a view misses
+    unless it holds NaN.
+    """
+    best = views[0] if len(views) == 1 else np.maximum(views[0], views[1])
+    for v in views[2:]:
+        np.maximum(best, v, out=best)
+    if not winners:
+        return best, None
+    nan_out = best != best
+    has_nan = bool(nan_out.any())
+    win = np.zeros(best.shape, dtype=np.min_scalar_type(-len(views)))
+    missed = np.ones(best.shape, dtype=bool)
+    miss = np.empty(best.shape, dtype=bool)
+    for v in views[:-1]:
+        np.less(v, best, out=miss)
+        if has_nan:
+            miss |= nan_out & (v == v)
+        missed &= miss
+        win += missed
+    return best, win
+
 
 def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = True):
     """Max over sliding windows. Returns (output, argmax_indices).
@@ -178,25 +233,11 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = T
     views = [x[:, :, a:a + stride * (h_out - 1) + 1:stride,
                b:b + stride * (w_out - 1) + 1:stride]
              for a in range(window) for b in range(window)]
-    y = views[0].copy()
-    for v in views[1:]:
-        np.maximum(y, v, out=y)
+    y, local = _first_max(views, indices)
+    if window == 1:
+        y = y.copy()  # a lone view is a view of x
     if not indices:
         return y, None
-    # The winner's position in the window is the number of leading positions
-    # that miss the maximum. np.maximum propagates NaN, so in a NaN window a
-    # position misses unless it holds NaN.
-    nan_out = y != y
-    has_nan = bool(nan_out.any())
-    local = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))
-    missed = np.ones(y.shape, dtype=bool)
-    miss = np.empty(y.shape, dtype=bool)
-    for v in views[:-1]:
-        np.less(v, y, out=miss)
-        if has_nan:
-            miss |= nan_out & (v == v)
-        missed &= miss
-        local += missed
     plane_offset = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
     argmax = plane_offset.take(local)
     argmax += (np.arange(h_out)[:, None] * (stride * w)

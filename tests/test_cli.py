@@ -191,6 +191,26 @@ def test_train_geometry_error_exits_before_reading_data(tmp_path, layers):
     assert "config.network.layers[2]" in stderr
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"schedule": {"kind": "plateau", "factor": "abc"}}, "config.schedule.factor"),
+    ({"schedule": {"kind": "plateau", "patience": "x"}}, "config.schedule.patience"),
+    ({"schedule": {"kind": "plateau", "factor": None}}, "config.schedule.factor"),
+    ({"schedule": {"kind": "plateau", "factor": -3}}, "config.schedule.factor"),
+    ({"schedule": {"kind": "plateau", "patience": 0}}, "config.schedule.patience"),
+    ({"learning_rate": True}, "config.learning_rate"),
+    ({"momentum": False}, "config.momentum"),
+    ({"learning_rate": float("inf")}, "config.learning_rate"),
+], ids=["factor_str", "patience_str", "factor_null", "factor_negative",
+        "patience_zero", "lr_bool", "momentum_bool", "lr_infinite"])
+def test_train_run_field_error_exits_before_reading_data(tmp_path, overrides, field):
+    # the dataset files do not exist: reading them first would exit 3
+    cfg_path, _ = _config(tmp_path, **overrides, dataset={
+        "kind": "idx", "images": str(tmp_path / "missing-images.idx"),
+        "labels": str(tmp_path / "missing-labels.idx")})
+    stderr = _assert_config_error_exit("train", "--config", cfg_path)
+    assert field in stderr
+
+
 def test_cli_and_config_import_without_numpy():
     # the CLI pins BLAS threads in the environment before numpy first loads
     code = "import sys, spinconv.cli, spinconv.config; sys.exit('numpy' in sys.modules)"
@@ -335,10 +355,14 @@ def test_eval_bad_selection_exit_code(rpc_checkpoint, tmp_path, mutate):
 
 def test_eval_non_finite_tensor_exit_code(overfit_run, tmp_path):
     ckpt, images, labels = overfit_run
-    bad = _tampered(ckpt, tmp_path, lambda header: None,
-                    lambda body: np.float32(np.nan).tobytes() + body[4:])
-    _assert_config_error_exit("eval", "--checkpoint", bad, "--images", images,
-                              "--labels", labels, code=3)
+    # +inf and -inf together also sum to NaN, and must not warn
+    for values in ([np.nan], [np.inf, -np.inf]):
+        head = np.array(values, np.float32).tobytes()
+        bad = _tampered(ckpt, tmp_path, lambda header: None,
+                        lambda body: head + body[len(head):])
+        stderr = _assert_config_error_exit("eval", "--checkpoint", bad, "--images",
+                                           images, "--labels", labels, code=3)
+        assert "Warning" not in stderr
 
 
 def _write_label_overflow_idx(tmp_path):

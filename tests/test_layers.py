@@ -9,8 +9,9 @@ from spinconv.errors import ConfigError, DimensionError, InputError
 from spinconv.layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
                              FrpcConvLayer, Mask, MaxPoolLayer, Network,
                              NetworkSpec, PReluLayer, ReluLayer, RpcConvLayer,
-                             _CHUNK, dropout_forward_standard,
-                             sdropout_backward, sdropout_forward)
+                             dropout_forward_standard, sdropout_backward,
+                             sdropout_forward)
+from spinconv.tensor_core import _CHUNK
 
 
 def _mask(bits):

@@ -90,6 +90,52 @@ def test_conv_backward_matches_finite_differences():
         assert err.max() <= 1e-4
 
 
+# ---------------------------------------------------------------------------
+# Image chunks in the conv kernels
+# ---------------------------------------------------------------------------
+
+_C = tc._CHUNK
+
+
+@pytest.mark.parametrize("n", [1, _C - 1, _C, _C + 1, 2 * _C + 1])
+def test_conv_chunk_boundaries_match_oracle_and_per_image_calls(n):
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(n, 2, 5, 6))
+    p = tc.ConvParams(weights=rng.normal(size=(3, 2, 3, 3)),
+                      bias=rng.normal(size=3), stride=2, pad=1)
+    y = tc.conv2d_forward(x, p)
+    assert oracle.relative_error(y, oracle.naive_conv(x, p)).max() <= 1e-6
+    g = rng.normal(size=y.shape)
+    got = tc.conv2d_backward(g, x, p)
+    singles = [tc.conv2d_backward(g[i:i + 1], x[i:i + 1], p) for i in range(n)]
+    refs = (np.concatenate([s[0] for s in singles]),
+            sum(s[1] for s in singles), sum(s[2] for s in singles))
+    ys = np.concatenate([tc.conv2d_forward(x[i:i + 1], p) for i in range(n)])
+    for out, ref in ((y, ys),) + tuple(zip(got, refs)):
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_conv_backward_peak_memory_bounded_by_chunk():
+    """The expanded frpc conv of the benchmark network (16 -> 96 channels,
+    14x14, batch 128): one chunk's float64 columns and products, dropped
+    before the next chunk's are built, peak near 25 MiB; full-batch
+    columns, or one chunk's kept alive into the next, pass 45 MiB."""
+    import tracemalloc
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(128, 16, 14, 14)).astype(np.float32)
+    p = tc.ConvParams(weights=rng.normal(size=(96, 16, 3, 3)).astype(np.float32),
+                      bias=np.zeros(96, np.float32), pad=1)
+    g = rng.normal(size=(128, 96, 14, 14)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        tc.conv2d_backward(g, x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
 def test_maxpool_single_window():
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     y, arg = tc.maxpool2d_forward(x, window=2, stride=2)
