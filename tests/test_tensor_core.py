@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,7 +123,6 @@ def test_conv_backward_peak_memory_bounded_by_chunk():
     14x14, batch 128): one chunk's float64 columns and products, dropped
     before the next chunk's are built, peak near 25 MiB; full-batch
     columns, or one chunk's kept alive into the next, pass 45 MiB."""
-    import tracemalloc
     rng = np.random.default_rng(31)
     x = rng.normal(size=(128, 16, 14, 14)).astype(np.float32)
     p = tc.ConvParams(weights=rng.normal(size=(96, 16, 3, 3)).astype(np.float32),
