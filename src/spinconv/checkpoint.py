@@ -6,8 +6,9 @@ Binary layout: 8-byte magic "SPINCONV", little-endian u32 format version
 tensors as raw little-endian float32 in header order. A header whose
 network fails the config's layer table, whose tensor shapes are not
 non-negative sizes or do not add up to the payload, or whose selections do
-not fit the rpc/frpc layers of the rebuilt network is refused, as are a
-missing parameter tensor and non-finite tensor values.
+not fit the rpc/frpc layers of the rebuilt network is refused, as are an
+inference flag other than false, a missing parameter tensor and non-finite
+tensor values.
 
 A checkpoint is written to a temporary file beside the target and renamed
 over it, so a failed write leaves any earlier checkpoint as it was.
@@ -22,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .config import network_shapes
+from .config import _is_int, network_shapes
 from .errors import ConfigError, FormatError
 from .layers import NetworkSpec, _OrientedConv
 from .training import init_weights
@@ -94,10 +95,6 @@ def _read_exact(f, count, path):
     return data
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _key_index(key):
     """The integer a JSON object key spells in canonical decimal, else None."""
     return int(key) if re.fullmatch(r"0|-?[1-9][0-9]*", key) else None
@@ -124,6 +121,10 @@ def _check_header(header, path):
                               f"name and a list of non-negative sizes, got {t!r}")
     if not isinstance(header.get("selections", {}), dict):
         raise FormatError(f"{where}: selections must be an object")
+    if header.get("inference", False) is not False:
+        raise FormatError(f"{where}: inference must be false, got "
+                          f"{header['inference']!r}; checkpoints store the "
+                          "training representation")
 
 
 def _set_selections(net, selections, where):
@@ -180,7 +181,6 @@ def load_checkpoint(path):
         net = init_weights(spec, header["seed"])
         _set_selections(net, header.get("selections", {}),
                         f"checkpoint header of {path}")
-        net.inference = bool(header.get("inference", False))
 
         mean_image = None
         params = {(i, name): arr for i, name, arr in net.named_params()}

@@ -45,13 +45,6 @@ def _check_labels(labels, input_shape, layers, name):
     return width
 
 
-def _fit_images(images, target):
-    from .data import center_crop
-    if images.shape[-1] != target or images.shape[-2] != target:
-        return center_crop(images, target)
-    return images
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if cfg.dataset is None:
@@ -78,9 +71,9 @@ def cmd_train(args) -> int:
     schedule = training.LrSchedule(**cfg.schedule)
 
     target = cfg.input_shape[1]
-    images = _fit_images(train_ds.images, target)
+    images = data.center_crop(train_ds.images, target)
     if val_images is not None:
-        val_images = _fit_images(val_images, target)
+        val_images = data.center_crop(val_images, target)
     rows = training.fit(net, images, train_ds.labels, state, cfg.epochs,
                         schedule, val_images, val_labels)
 

@@ -4,11 +4,14 @@ Unknown keys are rejected everywhere (typo protection) and every error
 names the offending field. Field tables hold each field's default and range
 check, and one resolver reads them all: `RUN_FIELDS` for the document,
 `SCHEDULE_FIELDS`, `DATASET_KINDS`, and `LAYER_KINDS`, which also gives
-each layer kind its input rank and output-shape rule. `network_shapes` runs
-the layer table as a dry shape pass, so geometry errors surface before any
-data is read; `training.init_weights` and checkpoint loading use the same
-pass. This module stays importable without numpy so the CLI can pin thread
-counts before any numerical code loads.
+each layer kind its input rank, its output-shape rule and its rules across
+fields. The tables are the only copy of these defaults and checks; the
+layer, optimizer and schedule classes trust what they resolved.
+`network_shapes` runs the layer table as a dry shape pass, so geometry
+errors surface before any data is read; `training.init_weights` and
+checkpoint loading use the same pass. This module stays importable
+without numpy so the CLI can pin thread counts before any numerical code
+loads.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ class LayerKind(NamedTuple):
     fields: dict          # name -> (default or REQUIRED, check), as _resolve reads
     rank: int             # input rank it needs: 3 images, 1 vectors, None either
     out_shape: Callable   # (resolved fields, input shape) -> output shape
-    rule: tuple = None    # (test over the resolved fields, message template)
+    rules: tuple = ()     # (test over the resolved fields, message template) pairs
 
 
 REQUIRED = object()
@@ -69,6 +72,11 @@ _PATH = ("a non-empty path", lambda v: isinstance(v, str) and v != "")
 _CONV_FIELDS = {"out_channels": (REQUIRED, _COUNT), "kernel": (REQUIRED, _ODD),
                 "stride": (1, _COUNT),
                 "pad": (0, ("an integer >= 0", lambda v: _is_int(v) and v >= 0))}
+
+
+def selection_size(fraction: float, out_channels: int) -> int:
+    """How many of `out_channels` filters a rotate or flip fraction selects."""
+    return int(round(fraction * out_channels))
 
 
 def _window_shape(shape, channels, k, stride, pad):
@@ -86,9 +94,13 @@ LAYER_KINDS = {
     "frpc_conv": LayerKind(
         {**_CONV_FIELDS, "rotate_fraction": (0.25, _FRACTION),
          "flip_fraction": (0.25, _FRACTION)}, 3, _conv_shape,
-        (lambda f: f["rotate_fraction"] + f["flip_fraction"] <= 1.0,
-         "rotate_fraction + flip_fraction must not exceed 1, "
-         "got {rotate_fraction} + {flip_fraction}")),
+        ((lambda f: f["rotate_fraction"] + f["flip_fraction"] <= 1.0,
+          "rotate_fraction + flip_fraction must not exceed 1, "
+          "got {rotate_fraction} + {flip_fraction}"),
+         (lambda f: selection_size(f["rotate_fraction"], f["out_channels"])
+          + selection_size(f["flip_fraction"], f["out_channels"]) <= f["out_channels"],
+          "rotate_fraction {rotate_fraction} and flip_fraction {flip_fraction} "
+          "select more than {out_channels} filters once rounded"))),
     # a callable default is computed from the fields resolved before it
     "maxpool": LayerKind(
         {"window": (REQUIRED, _COUNT), "stride": (lambda f: f["window"], _COUNT)}, 3,
@@ -103,8 +115,8 @@ LAYER_KINDS = {
          "mode": ("standard", ("'standard' or 'split'",
                                lambda v: v in ("standard", "split")))},
         1, lambda f, shape: shape,
-        (lambda f: f["mode"] != "split" or f["p"] == 0.5,
-         "split mode requires p = 0.5, got {p}")),
+        ((lambda f: f["mode"] != "split" or f["p"] == 0.5,
+          "split mode requires p = 0.5, got {p}"),)),
 }
 
 
@@ -148,8 +160,7 @@ def validate_layer(desc: dict, where: str) -> dict:
     kind = _kind_of(desc, LAYER_KINDS, where)
     entry = LAYER_KINDS[kind]
     fields = _resolve(desc, entry.fields, where, kind=kind)
-    if entry.rule is not None:
-        test, message = entry.rule
+    for test, message in entry.rules:
         _require(test(fields), f"{where}: " + message.format(**fields))
     return fields
 
@@ -216,8 +227,8 @@ RUN_FIELDS = {
     "seed": (REQUIRED, _SEED),
     "epochs": (10, _COUNT),
     "batch_size": (128, _COUNT),
-    "learning_rate": (0.2, ("a finite number > 0",
-                            lambda v: _is_real(v) and 0.0 < v < math.inf)),
+    "learning_rate": (0.01, ("a finite number > 0",
+                             lambda v: _is_real(v) and 0.0 < v < math.inf)),
     "momentum": (0.9, ("within [0, 1)", lambda v: _is_real(v) and 0.0 <= v < 1.0)),
     "schedule": ({}, lambda v, where: _resolve(v, SCHEDULE_FIELDS, where)),
     "network": (REQUIRED, _network),

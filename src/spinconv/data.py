@@ -225,13 +225,6 @@ def _rotation_sources(h: int, w: int, degrees: float):
     return row_s, col_s
 
 
-def rotate_image(image: np.ndarray, degrees: float) -> np.ndarray:
-    """rotate_batch for one [C,H,W] image."""
-    if image.ndim != 3:
-        raise DimensionError(f"rotate_image wants [C,H,W], got shape {image.shape}")
-    return rotate_batch(image[None], degrees)[0]
-
-
 def rotate_batch(images: np.ndarray, degrees: float) -> np.ndarray:
     """Clockwise rotation of each image of a [N,C,H,W] batch about its
     center: bilinear inverse mapping with the sampling grid computed once,

@@ -9,8 +9,6 @@ from .data import Dataset, center_crop, rotate_batch, ten_view_crops
 from .errors import InputError
 from .tensor_core import softmax
 
-DEFAULT_SWEEP_ANGLES = 64
-
 
 def sweep_angles(n: int):
     """n angles uniformly spaced over [0, 360)."""
@@ -31,15 +29,13 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 
 def predict_logits(net, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Batched inference; center-crops when the network input is smaller
-    than the stored images (mirroring the training-time crop)."""
+    """Batched inference; center-crops the images to the network input
+    (mirroring the training-time crop)."""
     if batch_size < 1:
         raise InputError(f"batch size must be at least 1, got {batch_size}")
     if images.shape[0] == 0:
         raise InputError("no images to predict")
-    target = net.spec.input_shape[1]
-    if images.shape[-1] != target or images.shape[-2] != target:
-        images = center_crop(images, target)
+    images = center_crop(images, net.spec.input_shape[1])
     chunks = [net.forward_inference(images[i:i + batch_size])
               for i in range(0, images.shape[0], batch_size)]
     return np.concatenate(chunks, axis=0)
@@ -52,16 +48,6 @@ class SweepReport:
     rows: list = field(default_factory=list)  # (angle, top1, mean_p_true)
     model_id: str = ""
     dataset_id: str = ""
-
-    @property
-    def n_angles(self):
-        return len(self.rows)
-
-    def mean_top1(self, lo: float = 0.0, hi: float = 360.0) -> float:
-        vals = [t for a, t, _ in self.rows if lo <= a <= hi]
-        if not vals:
-            raise InputError(f"no sweep rows in angle band [{lo}, {hi}]")
-        return float(np.mean(vals))
 
     def to_csv(self) -> str:
         lines = ["angle,top1,mean_p_true"]

@@ -41,16 +41,6 @@ def _check_square(kernel: np.ndarray, op: str) -> int:
     return kh
 
 
-def rotate_kernel_90(kernel: np.ndarray, quarter_turns: int) -> np.ndarray:
-    """Exact clockwise rotation by 90-degree multiples (index permutation)."""
-    _check_square(kernel, "rotate_kernel_90")
-    if quarter_turns not in (0, 1, 2, 3):
-        raise InputError(f"quarter_turns must be in {{0,1,2,3}}, got {quarter_turns}")
-    if quarter_turns == 0:
-        return kernel.copy()
-    return np.rot90(kernel, k=-quarter_turns, axes=(-2, -1)).copy()
-
-
 def rotate_kernel_45_ring(kernel: np.ndarray, steps: int) -> np.ndarray:
     """Cyclic clockwise shift of the 8 ring cells of a 3x3 kernel.
 
@@ -73,7 +63,7 @@ def rotate_kernel_bilinear(kernel: np.ndarray, degrees: float) -> np.ndarray:
     with the sampler that rotates images (`data.rotate_batch`).
 
     Exact at lattice points, so multiples of 90 degrees agree with the
-    index-permutation rotation to float precision. Cells whose source falls
+    quarter turns of `np.rot90` to float precision. Cells whose source falls
     outside the kernel read 0.
     """
     k = _check_square(kernel, "rotate_kernel_bilinear")

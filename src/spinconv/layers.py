@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel_transforms as kt
+from .config import selection_size
 from .errors import ConfigError, ConsistencyError, DimensionError, InputError
 from .tensor_core import (ConvParams, _first_max, conv2d_backward,
                           conv2d_forward, fc_backward, fc_forward,
@@ -49,9 +50,6 @@ class Mask:
         if not np.all((bits == 0) | (bits == 1)):
             raise InputError("mask bits must be 0 or 1")
         self.bits = bits
-
-    def complement(self) -> "Mask":
-        return Mask(bits=1 - self.bits, p=self.p)
 
     def __len__(self):
         return self.bits.shape[0]
@@ -86,9 +84,6 @@ class Layer:
         else:
             self.grads[name] = g
 
-    def param_count(self) -> int:
-        return sum(arr.size for arr in self.params().values())
-
 
 class DropoutLayer(Layer):
     """Dropout in standard or split mode.
@@ -96,8 +91,9 @@ class DropoutLayer(Layer):
     Standard mode multiplies activations by a Bernoulli(p) keep-mask drawn
     once per batch. Split mode keeps the masked part and its complement,
     stacked as [m*x; (1-m)*x], so both run through the same downstream
-    weights. Split mode demands p = 0.5 because the two-branch loss identity
-    only holds when a mask and its complement are equally likely.
+    weights. Split mode needs p = 0.5 because the two-branch loss identity
+    only holds when a mask and its complement are equally likely; the
+    config's layer table checks p and mode.
 
     forward uses `cache["mask"]` when the caller pinned one (a Mask or 0/1
     bits) and draws a fresh mask from the layer's own stream otherwise.
@@ -107,13 +103,6 @@ class DropoutLayer(Layer):
 
     def __init__(self, p: float = 0.5, mode: str = "standard", rng=None):
         super().__init__()
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"dropout p must lie in (0,1), got {p}")
-        if mode not in ("standard", "split"):
-            raise ConfigError(f"dropout mode must be 'standard' or 'split', got {mode!r}")
-        if mode == "split" and p != 0.5:
-            raise ConfigError(
-                f"split mode requires p=0.5 (complement-symmetric masks), got p={p}")
         self.p = p
         self.mode = mode
         self.rng_stream = rng if rng is not None else np.random.default_rng(0)
@@ -203,7 +192,6 @@ class ConvLayer(Layer):
         self.bias = np.zeros(out_channels, dtype)
         self.stride = stride
         self.pad = pad
-        ConvParams(self.weights, self.bias, stride, pad)  # validates
 
     def conv_params(self) -> ConvParams:
         return ConvParams(self.weights, self.bias, self.stride, self.pad)
@@ -254,33 +242,21 @@ class _OrientedConv(Layer):
     tie by one last bit.
 
     Which filters rotate (and which flip) is drawn once at construction and
-    never changes afterwards.
+    never changes afterwards. The config's layer table checks the fractions
+    and that the selections fit the filters.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
                  rotate_fraction=0.0, flip_fraction=0.0, rng=None,
                  dtype=np.float32):
         super().__init__()
-        if not 0.0 <= rotate_fraction <= 1.0:
-            raise ConfigError(f"rotate_fraction must lie in [0,1], got {rotate_fraction}")
-        if not 0.0 <= flip_fraction <= 1.0:
-            raise ConfigError(f"flip_fraction must lie in [0,1], got {flip_fraction}")
-        if rotate_fraction + flip_fraction > 1.0 + 1e-12:
-            raise ConfigError(
-                f"rotate_fraction + flip_fraction must not exceed 1, got "
-                f"{rotate_fraction} + {flip_fraction}")
-        if kernel % 2 == 0:
-            raise DimensionError(f"orientation pooling needs an odd kernel, got {kernel}")
         self.weights = np.zeros((out_channels, in_channels, kernel, kernel), dtype)
         self.bias = np.zeros(out_channels, dtype)
         self.stride = stride
         self.pad = pad
 
-        n_rot = int(round(rotate_fraction * out_channels))
-        n_flip = int(round(flip_fraction * out_channels))
-        if n_rot + n_flip > out_channels:
-            raise ConfigError(
-                f"selection sizes {n_rot}+{n_flip} exceed {out_channels} filters")
+        n_rot = selection_size(rotate_fraction, out_channels)
+        n_flip = selection_size(flip_fraction, out_channels)
         rng = rng if rng is not None else np.random.default_rng(0)
         rotate = rng.choice(out_channels, size=n_rot, replace=False)
         remaining = np.setdiff1d(np.arange(out_channels), rotate)
@@ -565,9 +541,6 @@ class Network:
         for i, layer in enumerate(self.layers):
             for name, arr in layer.params().items():
                 yield i, name, arr
-
-    def param_count(self) -> int:
-        return sum(layer.param_count() for layer in self.layers)
 
     def zero_grads(self):
         for layer in self.layers:

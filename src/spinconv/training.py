@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import network_shapes
+from .config import RUN_FIELDS, SCHEDULE_FIELDS, network_shapes
 from .errors import ConfigError, ConsistencyError, InputError, NumericalAbort
 from .layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
                      FrpcConvLayer, MaxPoolLayer, Network, NetworkSpec,
@@ -35,11 +35,12 @@ BIAS_INIT = 1.0
 
 @dataclass
 class OptimizerState:
-    """SGD-with-momentum state; one velocity tensor per parameter tensor."""
+    """SGD-with-momentum state; one velocity tensor per parameter tensor.
+    The defaults are the run document's."""
 
-    learning_rate: float = 0.2
-    momentum: float = 0.9
-    batch_size: int = 128
+    learning_rate: float = RUN_FIELDS["learning_rate"][0]
+    momentum: float = RUN_FIELDS["momentum"][0]
+    batch_size: int = RUN_FIELDS["batch_size"][0]
     velocities: dict = field(default_factory=dict)
 
 
@@ -273,15 +274,11 @@ class LrSchedule:
     """Learning-rate schedule: 'fixed', or 'plateau' which multiplies the
     rate by `factor` after `patience` epochs without improvement of the
     monitored loss (validation loss when a validation split is given,
-    training loss otherwise)."""
+    training loss otherwise). The defaults and checks are the config's."""
 
-    kind: str = "plateau"
-    factor: float = 0.1
-    patience: int = 2
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "plateau"):
-            raise ConfigError(f"schedule kind must be 'fixed' or 'plateau', got {self.kind!r}")
+    kind: str = SCHEDULE_FIELDS["kind"][0]
+    factor: float = SCHEDULE_FIELDS["factor"][0]
+    patience: int = SCHEDULE_FIELDS["patience"][0]
 
 
 def _eval_metrics(inf_net: Network, images, labels, batch_size):

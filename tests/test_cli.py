@@ -179,7 +179,12 @@ def test_train_layer_input_rank_exit_code(tmp_path, layers):
     [{"kind": "maxpool", "window": 2},
      {"kind": "relu"},
      {"kind": "conv", "out_channels": 4, "kernel": 15}],
-], ids=["pool_window_over_input", "conv_kernel_over_padded_input"])
+    [{"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
+     {"kind": "relu"},
+     {"kind": "frpc_conv", "out_channels": 3, "kernel": 3, "pad": 1,
+      "rotate_fraction": 0.5, "flip_fraction": 0.5}],
+], ids=["pool_window_over_input", "conv_kernel_over_padded_input",
+        "frpc_selections_over_filters"])
 def test_train_geometry_error_exits_before_reading_data(tmp_path, layers):
     # the dataset files do not exist: reading them first would exit 3
     cfg_path, _ = _config(tmp_path, network={
@@ -301,11 +306,22 @@ def _oversized_tensor_shape(header):
     header["tensors"][0]["shape"] = [2147483648, 2147483648]
 
 
+def _inference_flag(header):
+    header["inference"] = True
+
+
+def _frpc_selections_over_filters(header):
+    # 0.5 + 0.5 of 3 filters rounds to 2 + 2 selected filters
+    header["layers"].insert(0, {"kind": "frpc_conv", "out_channels": 3, "kernel": 3,
+                                "pad": 1, "rotate_fraction": 0.5,
+                                "flip_fraction": 0.5})
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_input_shape, _negative_tensor_shape, _unknown_layer_kind,
-    _oversized_tensor_shape],
+    _oversized_tensor_shape, _inference_flag, _frpc_selections_over_filters],
     ids=["no_input_shape", "negative_tensor_shape", "unknown_layer_kind",
-         "oversized_tensor_shape"])
+         "oversized_tensor_shape", "inference_flag", "frpc_selections_over_filters"])
 def test_eval_bad_checkpoint_header_exit_code(overfit_run, tmp_path, mutate):
     ckpt, images, labels = overfit_run
     bad = _tampered(ckpt, tmp_path, mutate)

