@@ -70,10 +70,7 @@ def cmd_train(args) -> int:
                                     batch_size=cfg.batch_size)
     schedule = training.LrSchedule(**cfg.schedule)
 
-    target = cfg.input_shape[1]
-    images = data.center_crop(train_ds.images, target)
-    if val_images is not None:
-        val_images = data.center_crop(val_images, target)
+    images = data.center_crop(train_ds.images, cfg.input_shape[1:])
     rows = training.fit(net, images, train_ds.labels, state, cfg.epochs,
                         schedule, val_images, val_labels)
 
@@ -118,8 +115,6 @@ def _load_inference_net(checkpoint_path):
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from . import data, evaluation
 
     net, meta = _load_inference_net(args.checkpoint)
@@ -127,16 +122,11 @@ def cmd_eval(args) -> int:
                          meta["mean_image"])
     n_classes = _check_labels(ds.labels, net.spec.input_shape, net.spec.layers,
                               args.labels)
-    k5 = min(5, n_classes)
-    if args.ten_view:
-        probs = np.stack([evaluation.ten_view_predict(net, img)
-                          for img in ds.images])
-        top1 = evaluation.top_k_accuracy(probs, ds.labels, 1)
-        top5 = evaluation.top_k_accuracy(probs, ds.labels, k5)
-    else:
-        logits = evaluation.predict_logits(net, ds.images, args.batch_size)
-        top1 = evaluation.top_k_accuracy(logits, ds.labels, 1)
-        top5 = evaluation.top_k_accuracy(logits, ds.labels, k5)
+    predict = (evaluation.ten_view_probabilities if args.ten_view
+               else evaluation.predict_logits)
+    scores = predict(net, ds.images, args.batch_size)
+    top1 = evaluation.top_k_accuracy(scores, ds.labels, 1)
+    top5 = evaluation.top_k_accuracy(scores, ds.labels, min(5, n_classes))
     print("top1,top5")
     print(f"{top1:.6f},{top5:.6f}")
     return 0
@@ -150,10 +140,7 @@ def cmd_sweep(args) -> int:
                          meta["mean_image"])
     _check_labels(ds.labels, net.spec.input_shape, net.spec.layers, args.labels)
     angles = evaluation.sweep_angles(args.angles)
-    report = evaluation.rotation_sweep(net, ds, angles,
-                                       batch_size=args.batch_size,
-                                       model_id=os.path.basename(args.checkpoint),
-                                       dataset_id=os.path.basename(args.images))
+    report = evaluation.rotation_sweep(net, ds, angles, batch_size=args.batch_size)
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_csv())
     meta_path = args.out + ".meta.json"

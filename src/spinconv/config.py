@@ -168,14 +168,15 @@ def validate_layer(desc: dict, where: str) -> dict:
 def network_shapes(input_shape, layers, where: str) -> list:
     """Dry shape pass: (resolved fields, input shape, output shape) per layer,
     shapes (C, H, W) before flatten and (d,) after; a ConfigError names
-    `{where}.input_shape` or `{where}.layers[i]`."""
+    `{where}.input_shape` or `{where}.layers[i]`. Each dropout layer needs a
+    later weighted layer, which inference scales by its keep probability."""
     _require(isinstance(input_shape, (list, tuple)) and len(input_shape) == 3
              and all(_is_int(v) and v >= 1 for v in input_shape),
              f"{where}.input_shape must be [channels, height, width], "
              f"got {input_shape!r}")
     _require(isinstance(layers, list) and layers,
              f"{where}.layers must be a non-empty list")
-    shape, plan = tuple(input_shape), []
+    shape, plan, unfolded = tuple(input_shape), [], None
     for i, desc in enumerate(layers):
         at = f"{where}.layers[{i}]"
         fields = validate_layer(desc, at)
@@ -189,6 +190,12 @@ def network_shapes(input_shape, layers, where: str) -> list:
             raise ConfigError(f"{at}: {kind} {e}") from e
         plan.append((fields, shape, out))
         shape = out
+        if kind in ("conv", "rpc_conv", "frpc_conv", "fc"):
+            unfolded = None
+        elif kind == "dropout" and unfolded is None:
+            unfolded = at
+    _require(unfolded is None, f"{unfolded}: dropout layer needs a later conv, "
+                               "rpc_conv, frpc_conv or fc layer to fold into")
     return plan
 
 

@@ -180,13 +180,10 @@ def preprocess(dataset: Dataset, mean_image: np.ndarray = None) -> Dataset:
                    mean_image=mean_image)
 
 
-def center_crop(images: np.ndarray, size: int) -> np.ndarray:
-    """Crop the spatial center of [..., H, W] images."""
-    h, w = images.shape[-2], images.shape[-1]
-    if size > h or size > w:
-        raise DimensionError(f"crop {size} exceeds image size {h}x{w}")
-    top, left = (h - size) // 2, (w - size) // 2
-    return images[..., top:top + size, left:left + size]
+def center_crop(images: np.ndarray, size) -> np.ndarray:
+    """The spatial center of [N,C,H,W] images cropped to size = (h, w): the
+    first of the ten views, a view of the input."""
+    return ten_view_crops(images, size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +232,15 @@ def rotate_batch(images: np.ndarray, degrees: float) -> np.ndarray:
     return out.reshape(n, c, h, w).astype(images.dtype, copy=False)
 
 
-def ten_view_crops(image: np.ndarray, crop: int) -> np.ndarray:
-    """Center + four corner crops plus the left-right mirror of each: the
-    10 evaluation views of one [C,H,W] image."""
-    if image.ndim != 3:
-        raise DimensionError(f"ten_view_crops wants [C,H,W], got shape {image.shape}")
-    c, h, w = image.shape
-    if crop > h or crop > w:
-        raise DimensionError(f"crop {crop} exceeds image size {h}x{w}")
-    dy, dx = h - crop, w - crop
+def ten_view_crops(images: np.ndarray, size) -> list:
+    """The 10 evaluation views of [N,C,H,W] images cropped to size = (h, w):
+    center, the four corners (top-left, top-right, bottom-left,
+    bottom-right), then the left-right mirror of each, all views of the
+    input."""
+    (h, w), (rows, cols) = size, images.shape[-2:]
+    if h > rows or w > cols:
+        raise DimensionError(f"crop {h}x{w} exceeds image size {rows}x{cols}")
+    dy, dx = rows - h, cols - w
     offsets = [(dy // 2, dx // 2), (0, 0), (0, dx), (dy, 0), (dy, dx)]
-    views = [image[:, top:top + crop, left:left + crop] for top, left in offsets]
-    views += [v[:, :, ::-1] for v in views]
-    return np.stack(views)
+    views = [images[..., top:top + h, left:left + w] for top, left in offsets]
+    return views + [v[..., ::-1] for v in views]

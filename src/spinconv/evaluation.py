@@ -29,13 +29,14 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 
 def predict_logits(net, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Batched inference; center-crops the images to the network input
-    (mirroring the training-time crop)."""
+    """Batched inference, the only loop over batches of `forward_inference`;
+    center-crops the images to the network input (mirroring the
+    training-time crop)."""
     if batch_size < 1:
         raise InputError(f"batch size must be at least 1, got {batch_size}")
     if images.shape[0] == 0:
         raise InputError("no images to predict")
-    images = center_crop(images, net.spec.input_shape[1])
+    images = center_crop(images, net.spec.input_shape[1:])
     chunks = [net.forward_inference(images[i:i + batch_size])
               for i in range(0, images.shape[0], batch_size)]
     return np.concatenate(chunks, axis=0)
@@ -46,8 +47,6 @@ class SweepReport:
     """Accuracy and mean true-label probability per rotation angle."""
 
     rows: list = field(default_factory=list)  # (angle, top1, mean_p_true)
-    model_id: str = ""
-    dataset_id: str = ""
 
     def to_csv(self) -> str:
         lines = ["angle,top1,mean_p_true"]
@@ -70,8 +69,7 @@ def _rotated(images: np.ndarray, angle: float, mean_image):
     return rotate_batch(images + mean_image, angle) - mean_image
 
 
-def rotation_sweep(net, dataset: Dataset, angles, batch_size: int = 256,
-                   model_id: str = "", dataset_id: str = "") -> SweepReport:
+def rotation_sweep(net, dataset: Dataset, angles, batch_size: int = 256) -> SweepReport:
     """Evaluate the network on every image rotated by each angle.
 
     Angle 0 skips the resampling entirely, so its row is the plain
@@ -83,7 +81,7 @@ def rotation_sweep(net, dataset: Dataset, angles, batch_size: int = 256,
     if any(a2 <= a1 for a1, a2 in zip(angles, angles[1:])) or \
             angles[0] < 0 or angles[-1] >= 360:
         raise InputError("angles must be strictly increasing within [0, 360)")
-    report = SweepReport(model_id=model_id, dataset_id=dataset_id)
+    report = SweepReport()
     labels = dataset.labels
     idx = np.arange(len(labels))
     for angle in angles:
@@ -96,10 +94,9 @@ def rotation_sweep(net, dataset: Dataset, angles, batch_size: int = 256,
     return report
 
 
-def ten_view_predict(net, image: np.ndarray) -> np.ndarray:
-    """Class probabilities averaged over the 10 crop/mirror views."""
-    crop = net.spec.input_shape[1]
-    views = ten_view_crops(image, crop)
-    probs = np.asarray(softmax(net.forward_inference(views)), dtype=np.float64)
-    return probs.mean(axis=0)
-
+def ten_view_probabilities(net, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Class probabilities [N, K] averaged in float64 over the 10 crop/mirror
+    views of each image; each view runs through `predict_logits`."""
+    views = ten_view_crops(images, net.spec.input_shape[1:])
+    return sum(np.asarray(softmax(predict_logits(net, v, batch_size)), dtype=np.float64)
+               for v in views) / len(views)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RUN_FIELDS, SCHEDULE_FIELDS, network_shapes
-from .errors import ConfigError, ConsistencyError, InputError, NumericalAbort
+from .errors import ConsistencyError, InputError, NumericalAbort
+from .evaluation import predict_logits, top_k_accuracy
 from .layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
                      FrpcConvLayer, MaxPoolLayer, Network, NetworkSpec,
                      PReluLayer, ReluLayer, RpcConvLayer)
@@ -121,11 +122,7 @@ def init_weights(spec: NetworkSpec, seed: int, dtype=np.float32) -> Network:
 @dataclass
 class BranchSet:
     """One training forward pass: the stacked logits of the 2^n branches
-    and the per-layer caches the backward pass reads.
-
-    `branches` tags each block with its mask-sign path: +1 where it took
-    the masked side of a split layer, -1 where it took the complement.
-    """
+    and the per-layer caches the backward pass reads."""
 
     net: Network
     n_split: int
@@ -133,20 +130,11 @@ class BranchSet:
     masks: dict               # layer index -> Mask used this step
     logits: np.ndarray        # [2^n * N, K], block-major
     caches: list              # one dict per layer
-    block_losses: list
     ce_grad: np.ndarray       # d loss / d logits
     input_grad: np.ndarray = None  # set by backward_training
 
     def __len__(self):
         return 2 ** self.n_split
-
-    @property
-    def branches(self):
-        """Per-branch records {path, logits, loss}; logits are views."""
-        rows = self.logits.shape[0] // len(self)
-        return [{"path": tuple(-1 if j >> s & 1 else +1 for s in range(self.n_split)),
-                 "logits": self.logits[j * rows:(j + 1) * rows],
-                 "loss": self.block_losses[j]} for j in range(len(self))]
 
 
 def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
@@ -180,8 +168,7 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
     loss = math.fsum(block_losses) / blocks
     masks = {i: caches[i]["mask"] for i in net.dropout_layers()}
     return loss, BranchSet(net=net, n_split=n_split, loss=loss, masks=masks,
-                           logits=act, caches=caches, block_losses=block_losses,
-                           ce_grad=ce_grad)
+                           logits=act, caches=caches, ce_grad=ce_grad)
 
 
 def backward_training(branch_set: BranchSet):
@@ -212,7 +199,8 @@ def mean_branch_probabilities(branch_set: BranchSet) -> np.ndarray:
 
 def to_inference(net: Network) -> Network:
     """Fold dropout away: remove the layers and scale the next weighted
-    layer by the keep probability p.
+    layer by the keep probability p (`config.network_shapes` refuses a
+    dropout layer with no later weighted layer).
 
     ReLU/PReLU/pooling between the dropout and the weighted layer commute
     with positive scaling, so carrying p past them is exact. Returns a new
@@ -230,8 +218,6 @@ def to_inference(net: Network) -> Network:
             layer.weights *= pending_scale
             pending_scale = None
         kept.append(layer)
-    if pending_scale is not None:
-        raise ConfigError("dropout layer has no following weighted layer to scale")
     new.layers = kept
     new.inference = True
     return new
@@ -281,25 +267,14 @@ class LrSchedule:
     patience: int = SCHEDULE_FIELDS["patience"][0]
 
 
-def _eval_metrics(inf_net: Network, images, labels, batch_size):
-    loss_sum, correct, n = 0.0, 0, images.shape[0]
-    for start in range(0, n, batch_size):
-        x = images[start:start + batch_size]
-        y = labels[start:start + batch_size]
-        logits = inf_net.forward_inference(x)
-        loss, _ = softmax_cross_entropy(logits, y)
-        loss_sum += loss * len(y)
-        correct += int((logits.argmax(axis=1) == y).sum())
-    return {"loss": loss_sum / n, "top1": correct / n}
-
-
 def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
         schedule: LrSchedule = None, val_images=None, val_labels=None):
     """Train for a number of epochs with an optional plateau schedule.
 
     Returns per-epoch metric rows as dicts with keys epoch, split, loss,
-    top1 (split is 'train' or 'val'). Validation metrics come from a
-    throwaway inference copy of the current weights.
+    top1 (split is 'train' or 'val'). Validation metrics come from
+    `predict_logits` on a throwaway inference copy of the current weights,
+    which center-crops the validation images to the network input.
     """
     schedule = schedule or LrSchedule(kind="fixed")
     rows, best, stall = [], float("inf"), 0
@@ -309,11 +284,10 @@ def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
                      "loss": metrics["loss"], "top1": metrics["top1"]})
         monitored = metrics["loss"]
         if val_images is not None:
-            vm = _eval_metrics(to_inference(net), val_images, val_labels,
-                               state.batch_size)
-            rows.append({"epoch": epoch, "split": "val",
-                         "loss": vm["loss"], "top1": vm["top1"]})
-            monitored = vm["loss"]
+            logits = predict_logits(to_inference(net), val_images, state.batch_size)
+            monitored, _ = softmax_cross_entropy(logits, val_labels)
+            rows.append({"epoch": epoch, "split": "val", "loss": monitored,
+                         "top1": top_k_accuracy(logits, val_labels, 1)})
         if schedule.kind == "plateau":
             if monitored < best - 1e-6:
                 best, stall = monitored, 0

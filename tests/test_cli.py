@@ -172,24 +172,27 @@ def test_train_layer_input_rank_exit_code(tmp_path, layers):
     _assert_config_error_exit("train", "--config", cfg_path)
 
 
+_CLASSIFIER = [{"kind": "flatten"}, {"kind": "fc", "out_features": 4}]
+
+
 @pytest.mark.parametrize("layers", [
     [{"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
      {"kind": "relu"},
-     {"kind": "maxpool", "window": 40}],
+     {"kind": "maxpool", "window": 40}] + _CLASSIFIER,
     [{"kind": "maxpool", "window": 2},
      {"kind": "relu"},
-     {"kind": "conv", "out_channels": 4, "kernel": 15}],
+     {"kind": "conv", "out_channels": 4, "kernel": 15}] + _CLASSIFIER,
     [{"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
      {"kind": "relu"},
      {"kind": "frpc_conv", "out_channels": 3, "kernel": 3, "pad": 1,
-      "rotate_fraction": 0.5, "flip_fraction": 0.5}],
+      "rotate_fraction": 0.5, "flip_fraction": 0.5}] + _CLASSIFIER,
+    _CLASSIFIER + [{"kind": "dropout"}],
 ], ids=["pool_window_over_input", "conv_kernel_over_padded_input",
-        "frpc_selections_over_filters"])
+        "frpc_selections_over_filters", "dropout_without_later_weighted_layer"])
 def test_train_geometry_error_exits_before_reading_data(tmp_path, layers):
     # the dataset files do not exist: reading them first would exit 3
     cfg_path, _ = _config(tmp_path, network={
-        "input_shape": [1, 28, 28],
-        "layers": layers + [{"kind": "flatten"}, {"kind": "fc", "out_features": 4}]},
+        "input_shape": [1, 28, 28], "layers": layers},
         dataset={"kind": "idx", "images": str(tmp_path / "missing-images.idx"),
                  "labels": str(tmp_path / "missing-labels.idx")})
     stderr = _assert_config_error_exit("train", "--config", cfg_path)
@@ -264,6 +267,29 @@ def test_eval_ten_view_with_crop(tmp_path, capsys):
     assert 0.0 <= float(top1) <= 1.0
 
 
+@pytest.mark.parametrize("input_shape", [[1, 28, 24], [1, 24, 28]],
+                         ids=["28x24", "24x28"])
+def test_non_square_input_shape_trains_and_evaluates(tmp_path, capsys, input_shape):
+    # every crop takes (height, width) from the input shape
+    cfg_path, _ = _config(tmp_path, epochs=1, val_dataset={
+        "kind": "synthetic_shapes", "n_per_class": 2, "seed": 2}, network={
+        "input_shape": input_shape,
+        "layers": [{"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
+                   {"kind": "relu"},
+                   {"kind": "maxpool", "window": 2}] + _CLASSIFIER})
+    assert cli.main(["train", "--config", cfg_path]) == 0
+    images, labels = _write_eval_idx(tmp_path)
+    ckpt = str(tmp_path / "run" / "checkpoint.bin")
+    for extra in ([], ["--ten-view"]):
+        top1, _ = _eval_top1(capsys, "eval", "--checkpoint", ckpt, "--images", images,
+                             "--labels", labels, *extra)
+        assert 0.0 <= float(top1) <= 1.0
+    out = str(tmp_path / "sweep.csv")
+    assert cli.main(["sweep", "--checkpoint", ckpt, "--images", images,
+                     "--labels", labels, "--angles", "2", "--out", out]) == 0
+    assert len(open(out).read().splitlines()) == 3
+
+
 def test_eval_corrupt_checkpoint(overfit_run, tmp_path, capsys):
     ckpt, images, labels = overfit_run
     raw = bytearray(open(ckpt, "rb").read())
@@ -317,11 +343,17 @@ def _frpc_selections_over_filters(header):
                                 "flip_fraction": 0.5})
 
 
+def _dropout_without_later_weighted_layer(header):
+    header["layers"].append({"kind": "dropout"})
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_input_shape, _negative_tensor_shape, _unknown_layer_kind,
-    _oversized_tensor_shape, _inference_flag, _frpc_selections_over_filters],
+    _oversized_tensor_shape, _inference_flag, _frpc_selections_over_filters,
+    _dropout_without_later_weighted_layer],
     ids=["no_input_shape", "negative_tensor_shape", "unknown_layer_kind",
-         "oversized_tensor_shape", "inference_flag", "frpc_selections_over_filters"])
+         "oversized_tensor_shape", "inference_flag", "frpc_selections_over_filters",
+         "dropout_without_later_weighted_layer"])
 def test_eval_bad_checkpoint_header_exit_code(overfit_run, tmp_path, mutate):
     ckpt, images, labels = overfit_run
     bad = _tampered(ckpt, tmp_path, mutate)
@@ -413,11 +445,15 @@ def test_train_val_label_outside_network_outputs_exit_code(tmp_path):
 # sweep
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("command,batch_size", [
-    ("eval", "0"), ("eval", "-3"), ("sweep", "0"), ("sweep", "-1")])
-def test_batch_size_below_one_exit_code(overfit_run, tmp_path, command, batch_size):
+@pytest.mark.parametrize("command,batch_size,extra", [
+    ("eval", "0", []), ("eval", "-3", []), ("sweep", "0", []), ("sweep", "-1", []),
+    ("eval", "0", ["--ten-view"])],
+    ids=["eval-0", "eval--3", "sweep-0", "sweep--1", "eval_ten_view-0"])
+def test_batch_size_below_one_exit_code(overfit_run, tmp_path, command, batch_size,
+                                        extra):
     ckpt, images, labels = overfit_run
-    extra = ["--angles", "2", "--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    if command == "sweep":
+        extra = ["--angles", "2", "--out", str(tmp_path / "s.csv")]
     _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
                               "--labels", labels, "--batch-size", batch_size, *extra)
 

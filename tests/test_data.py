@@ -185,7 +185,7 @@ def test_rotate_quarter_turn_matches_permutation():
 def test_rotate_there_and_back_interior():
     img = _one_shape()
     back = data.rotate_batch(data.rotate_batch(img[None], 30.0), -30.0)[0]
-    interior = data.center_crop(np.stack([img, back]), 14)
+    interior = data.center_crop(np.stack([img, back]), (14, 14))
     mae = np.abs(interior[0] - interior[1]).mean()
     assert mae <= 0.02
 
@@ -202,42 +202,63 @@ def test_rotate_batch_matches_per_image():
 # ---------------------------------------------------------------------------
 
 def test_center_crop_picks_middle():
-    x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
-    out = data.center_crop(x, 2)
-    np.testing.assert_array_equal(out[0], [[5, 6], [9, 10]])
+    x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+    out = data.center_crop(x, (2, 2))
+    np.testing.assert_array_equal(out[0, 0], [[5, 6], [9, 10]])
     with pytest.raises(DimensionError):
-        data.center_crop(x, 5)
+        data.center_crop(x, (5, 4))
+
+
+def test_center_crop_non_square():
+    # 28 rows by 24 columns out of a 28 x 28 batch: all rows, columns 2-25
+    x = data.make_rotated_shapes(2, seed=5).images
+    out = data.center_crop(x, (28, 24))
+    assert out.shape == (8, 1, 28, 24)
+    assert np.array_equal(out, x[:, :, :, 2:26])
+    assert np.shares_memory(out, x)
+    assert np.array_equal(data.center_crop(x, (24, 28)), x[:, :, 2:26, :])
 
 
 def test_ten_view_degenerate_crop():
-    img = _one_shape()
-    views = data.ten_view_crops(img, 28)
-    assert views.shape == (10, 1, 28, 28)
+    img = _one_shape()[None]
+    views = data.ten_view_crops(img, (28, 28))
+    assert len(views) == 10
     for i in range(5):
         assert np.array_equal(views[i], img)
-        assert np.array_equal(views[5 + i], img[:, :, ::-1])
+        assert np.array_equal(views[5 + i], img[..., ::-1])
 
 
 def test_ten_view_offsets_256_to_224():
     rng = np.random.default_rng(11)
-    img = rng.random((1, 256, 256), dtype=np.float32)
-    views = data.ten_view_crops(img, 224)
-    expected = {(16, 16), (0, 0), (0, 32), (32, 0), (32, 32)}
-    got = set()
-    for v in views[:5]:
-        for top, left in expected:
-            if np.array_equal(v, img[:, top:top + 224, left:left + 224]):
-                got.add((top, left))
-    assert got == expected
+    images = rng.random((2, 1, 256, 256), dtype=np.float32)
+    views = data.ten_view_crops(images, (224, 224))
+    # center, then top-left, top-right, bottom-left, bottom-right
+    offsets = [(16, 16), (0, 0), (0, 32), (32, 0), (32, 32)]
+    for v, (top, left) in zip(views, offsets):
+        assert v.shape == (2, 1, 224, 224)
+        assert np.array_equal(v, images[..., top:top + 224, left:left + 224])
+        assert np.shares_memory(v, images)
+
+
+def test_ten_view_non_square_offsets():
+    images = np.random.default_rng(12).random((3, 2, 10, 12))
+    views = data.ten_view_crops(images, (7, 6))
+    offsets = [(1, 3), (0, 0), (0, 6), (3, 0), (3, 6)]
+    for v, (top, left) in zip(views, offsets):
+        assert np.array_equal(v, images[..., top:top + 7, left:left + 6])
+    assert all(v.shape == (3, 2, 7, 6) for v in views)
 
 
 def test_ten_view_mirror_involution():
-    img = _one_shape()
-    views = data.ten_view_crops(img, 20)
+    images = data.make_rotated_shapes(1, seed=7).images
+    views = data.ten_view_crops(images, (20, 18))
     for i in range(5):
-        assert np.array_equal(views[5 + i][:, :, ::-1], views[i])
+        assert np.array_equal(views[5 + i][..., ::-1], views[i])
+        assert np.shares_memory(views[5 + i], images)
 
 
 def test_ten_view_crop_too_large():
-    with pytest.raises(DimensionError):
-        data.ten_view_crops(np.zeros((1, 8, 8), dtype=np.float32), 9)
+    images = np.zeros((2, 1, 8, 8), dtype=np.float32)
+    for size in ((9, 9), (9, 8), (8, 9)):
+        with pytest.raises(DimensionError):
+            data.ten_view_crops(images, size)

@@ -186,11 +186,12 @@ def test_sweep_csv_format(trained):
 
 
 # ---------------------------------------------------------------------------
-# ten_view_predict
+# ten_view_probabilities
 # ---------------------------------------------------------------------------
 
 def _random_inference_net(input_size, seed=7):
-    spec = NetworkSpec(input_shape=(1, input_size, input_size), layers=[
+    height, width = input_size
+    spec = NetworkSpec(input_shape=(1, height, width), layers=[
         {"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
         {"kind": "relu"},
         {"kind": "flatten"},
@@ -202,23 +203,54 @@ def _random_inference_net(input_size, seed=7):
 
 
 def test_ten_view_probabilities_sum_to_one():
-    net = _random_inference_net(24)
-    image = data.make_rotated_shapes(1, seed=2).images[0]
-    probs = ev.ten_view_predict(net, image)
-    assert probs.shape == (4,)
-    assert abs(probs.sum() - 1.0) <= 1e-6
+    net = _random_inference_net((24, 24))
+    images = data.make_rotated_shapes(2, seed=2).images
+    probs = ev.ten_view_probabilities(net, images, batch_size=3)
+    assert probs.shape == (8, 4) and probs.dtype == np.float64
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-6)
 
 
 def test_ten_view_equals_mean_of_single_views():
-    net = _random_inference_net(24)
-    image = data.make_rotated_shapes(1, seed=3).images[0]
-    probs = ev.ten_view_predict(net, image)
-    views = data.ten_view_crops(image, 24)
-    singles = [np.asarray(softmax(net.forward_inference(v[None])),
-                          dtype=np.float64)[0] for v in views]
-    # single-view batches run through differently shaped products, so the
-    # decomposition holds to rounding
+    # a non-square crop: 22 of 28 rows, 26 of 28 columns
+    net = _random_inference_net((22, 26))
+    images = data.make_rotated_shapes(1, seed=3).images
+    probs = ev.ten_view_probabilities(net, images, batch_size=4)
+    views = [images[..., top:top + 22, left:left + 26]
+             for top, left in ((3, 1), (0, 0), (0, 2), (6, 0), (6, 2))]
+    views += [v[..., ::-1] for v in views]
+    singles = [np.asarray(softmax(net.forward_inference(np.ascontiguousarray(v))),
+                          dtype=np.float64) for v in views]
+    # differently shaped batches run through differently shaped products,
+    # so the decomposition holds to rounding
     assert np.allclose(probs, np.mean(singles, axis=0), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ten_view_probabilities_are_batch_invariant(dtype):
+    spec = NetworkSpec(input_shape=(1, 24, 24), layers=[
+        {"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
+        {"kind": "relu"},
+        {"kind": "maxpool", "window": 2},
+        {"kind": "flatten"},
+        {"kind": "fc", "out_features": 4},
+    ])
+    net = tr.init_weights(spec, seed=5, dtype=dtype)
+    _rescale_init(net, seed=6)
+    net = tr.to_inference(net)
+    images = data.preprocess(data.make_rotated_shapes(5, seed=4)).images.astype(dtype)
+    runs = [ev.ten_view_probabilities(net, images, batch_size=b) for b in (1, 7, 256)]
+    for probs in runs[1:]:
+        np.testing.assert_allclose(probs, runs[0], rtol=0, atol=1e-12)
+    per_view = [np.asarray(softmax(ev.predict_logits(net, v, 256)), dtype=np.float64)
+                for v in data.ten_view_crops(images, (24, 24))]
+    assert np.array_equal(runs[2], np.mean(per_view, axis=0))
+
+
+def test_ten_view_rejects_batch_size_below_one():
+    net = _random_inference_net((24, 24))
+    images = data.make_rotated_shapes(1, seed=2).images
+    with pytest.raises(InputError):
+        ev.ten_view_probabilities(net, images, batch_size=0)
 
 
 def test_ten_view_constant_net_equals_single_view():
@@ -230,8 +262,7 @@ def test_ten_view_constant_net_equals_single_view():
     net.layers[1].weights[...] = 0.0
     net.layers[1].bias[...] = [0.3, 1.2, -0.5]
     inf = tr.to_inference(net)
-    image = np.random.default_rng(4).random((1, 12, 12))
-    probs = ev.ten_view_predict(inf, image)
-    single = np.asarray(softmax(np.array([[0.3, 1.2, -0.5]])),
-                        dtype=np.float64)[0]
-    np.testing.assert_allclose(probs, single, atol=1e-15)
+    images = np.random.default_rng(4).random((3, 1, 12, 12))
+    probs = ev.ten_view_probabilities(inf, images, batch_size=2)
+    single = np.asarray(softmax(np.array([[0.3, 1.2, -0.5]])), dtype=np.float64)
+    np.testing.assert_allclose(probs, np.repeat(single, 3, axis=0), atol=1e-15)

@@ -36,6 +36,21 @@ def _plain_logits(net, x):
     return act
 
 
+def _branches(branch_set, labels):
+    """Per-branch records {path, logits, loss} sliced from the stacked
+    logits. Block j took the complement at split s exactly when bit s of j
+    is set; its path holds -1 there and +1 where it took the masked side."""
+    rows = len(labels)
+    out = []
+    for j in range(len(branch_set)):
+        logits = branch_set.logits[j * rows:(j + 1) * rows]
+        out.append({"path": tuple(-1 if j >> s & 1 else +1
+                                  for s in range(branch_set.n_split)),
+                    "logits": logits,
+                    "loss": softmax_cross_entropy(logits, labels)[0]})
+    return out
+
+
 # ---------------------------------------------------------------------------
 # forward_training
 # ---------------------------------------------------------------------------
@@ -64,8 +79,8 @@ def test_forward_all_ones_mask_degenerates():
         net, x, labels, pinned_masks={2: np.ones(6, dtype=np.float32)})
 
     assert len(branches) == 2
-    kept = next(b for b in branches.branches if b["path"] == (+1,))
-    comp = next(b for b in branches.branches if b["path"] == (-1,))
+    by_path = {b["path"]: b for b in _branches(branches, labels)}
+    kept, comp = by_path[(+1,)], by_path[(-1,)]
     # complement branch saw all zeros, so its logits are just the fc bias
     fc2 = net.layers[3]
     assert np.array_equal(comp["logits"], np.tile(fc2.bias, (4, 1)))
@@ -102,15 +117,15 @@ def test_branch_count_is_two_to_the_n():
     loss, branches = tr.forward_training(net, x, labels)
     assert branches.n_split == 2
     assert len(branches) == 4
-    assert loss == pytest.approx(
-        math.fsum(b["loss"] for b in branches.branches) / 4.0, abs=1e-15)
+    records = _branches(branches, labels)
+    assert loss == math.fsum(b["loss"] for b in records) / 4.0
     # every path tag is a distinct sign sequence
-    assert sorted(b["path"] for b in branches.branches) == [
+    assert sorted(b["path"] for b in records) == [
         (-1, -1), (-1, +1), (+1, -1), (+1, +1)]
     # each branch's logits are the plain forward under that branch's masks
     fcs = [net.layers[i] for i in (1, 3, 5)]
     masks = [branches.masks[i].bits.astype(np.float64) for i in (2, 4)]
-    for branch in branches.branches:
+    for branch in records:
         act = x.reshape(2, 4)
         for fc, m, sign in zip(fcs, masks + [None], branch["path"] + (None,)):
             act = act @ fc.weights.T + fc.bias
@@ -359,10 +374,13 @@ def test_to_inference_twice_is_refused():
 
 
 def test_to_inference_needs_following_weighted_layer():
-    net = _flat_net([{"kind": "fc", "out_features": 4},
-                     {"kind": "dropout", "p": 0.5}])
-    with pytest.raises(ConfigError):
-        tr.to_inference(net)
+    # the shape pass refuses a dropout layer that to_inference could not
+    # fold, so no such network is ever built
+    for layers in ([{"kind": "fc", "out_features": 4}, {"kind": "dropout", "p": 0.5}],
+                   [{"kind": "fc", "out_features": 4}, {"kind": "dropout"},
+                    {"kind": "relu"}, {"kind": "dropout", "mode": "split"}]):
+        with pytest.raises(ConfigError, match=r"network\.layers\[2\]: dropout"):
+            _flat_net(layers)
 
 
 def test_to_inference_equals_mask_average_on_linear_net():
@@ -383,7 +401,7 @@ def test_to_inference_equals_mask_average_on_linear_net():
         mask = np.asarray(bits, dtype=np.float32)
         _, branches = tr.forward_training(net, x, labels,
                                           pinned_masks={2: mask})
-        total += branches.branches[0]["logits"]
+        total += _branches(branches, labels)[0]["logits"]
     averaged = total / 16.0
 
     inf_logits = tr.to_inference(net).forward_inference(x)
