@@ -6,9 +6,9 @@ Binary layout: 8-byte magic "SPINCONV", little-endian u32 format version
 tensors as raw little-endian float32 in header order. A header whose
 network fails the config's layer table, whose tensor shapes are not
 non-negative sizes or do not add up to the payload, or whose selections do
-not fit the rpc/frpc layers of the rebuilt network is refused, as are an
-inference flag other than false, a missing parameter tensor and non-finite
-tensor values.
+not fit the rpc/frpc layers of the rebuilt network in count and range is
+refused, as are an inference flag other than false, a missing parameter
+tensor and non-finite tensor values.
 
 A checkpoint is written to a temporary file beside the target and renamed
 over it, so a failed write leaves any earlier checkpoint as it was.
@@ -25,17 +25,22 @@ import numpy as np
 
 from .config import _is_int, network_shapes
 from .errors import ConfigError, FormatError
-from .layers import NetworkSpec, _OrientedConv
+from .layers import FrpcConvLayer, NetworkSpec, RpcConvLayer
 from .training import init_weights
 
 MAGIC = b"SPINCONV"
 FORMAT_VERSION = 1
 
 
+# the layers whose filter selection is drawn and stored; a plain conv's is
+# empty by kind
+_SELECTING = (RpcConvLayer, FrpcConvLayer)
+
+
 def _selections(net):
     out = {}
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, _OrientedConv):
+        if isinstance(layer, _SELECTING):
             out[str(i)] = {
                 "rotate": [int(f) for f in layer.rotate_set],
                 "flip_axes": {str(f): ax for f, ax in sorted(layer.flip_axes.items())},
@@ -129,17 +134,21 @@ def _check_header(header, path):
 
 def _set_selections(net, selections, where):
     """Install each stored selection on its rpc/frpc layer; FormatError
-    unless it names such a layer and fits its filters."""
+    unless it names such a layer, selects as many rotated and flipped
+    filters as the rebuilt layer drew, and fits its filters."""
     for idx, sel in selections.items():
         i = _key_index(idx)
         layer = net.layers[i] if i is not None and 0 <= i < len(net.layers) else None
-        if not (isinstance(layer, _OrientedConv) and isinstance(sel, dict)
+        if not (isinstance(layer, _SELECTING) and isinstance(sel, dict)
                 and isinstance(sel.get("rotate"), list)
                 and all(_is_int(f) for f in sel["rotate"])
                 and isinstance(sel.get("flip_axes"), dict)
-                and all(_key_index(f) is not None for f in sel["flip_axes"])):
+                and all(_key_index(f) is not None for f in sel["flip_axes"])
+                and len(sel["rotate"]) == layer.rotate_set.size
+                and len(sel["flip_axes"]) == layer.flip_set.size):
             raise FormatError(f"{where}: selections[{idx!r}] must give an rpc/frpc "
-                              f"layer a rotate list and a flip_axes object, got {sel!r}")
+                              f"layer a rotate list and a flip_axes object as long "
+                              f"as its fractions select, got {sel!r}")
         try:
             layer.set_selection(sel["rotate"], {_key_index(f): ax
                                                 for f, ax in sel["flip_axes"].items()})

@@ -2,6 +2,7 @@
 image-side geometric transforms used at evaluation time."""
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -41,11 +42,12 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def _read_exact(f, count, path):
-    data = f.read(count)
-    if len(data) != count:
+    """`count` bytes of f, compared with the bytes left before any is read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
         raise OSError(f"truncated IDX file {path}: wanted {count} more bytes, "
-                      f"got {len(data)}")
-    return data
+                      f"{left} are left")
+    return f.read(count)
 
 
 def load_idx(images_path, labels_path) -> Dataset:

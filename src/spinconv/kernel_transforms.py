@@ -15,6 +15,7 @@ Every variant is a fixed linear map of the one stored kernel. `bank_maps`
 returns a bank's maps as a [S, k*k, k*k] matrix stack, which expands a
 kernel into its S variants; the backward of that expansion is the
 transposed stack, so the forward and its adjoint are one set of numbers.
+Map 0 of every bank is the identity: the stored kernel is variant 0.
 """
 from __future__ import annotations
 
@@ -86,16 +87,16 @@ def flip_kernel(kernel: np.ndarray, axis: str) -> np.ndarray:
 # Orientation banks
 # ---------------------------------------------------------------------------
 
-BANK_MODES = ("plain", "rotate8", "flip_lr", "flip_ud")
+BANK_MODES = ("rotate8", "flip_lr", "flip_ud")
 
 
 def build_orientation_bank(kernel: np.ndarray, mode: str) -> list:
     """All transformed variants of a kernel under the given mode; index 0
     is always the kernel itself.
 
-    plain: the kernel alone. rotate8: 8 rotations in 45-degree steps (ring
-    permutation for 3x3, bilinear otherwise). flip_lr / flip_ud: the kernel
-    and its mirror.
+    rotate8: 8 rotations in 45-degree steps (ring permutation for 3x3,
+    bilinear otherwise). flip_lr / flip_ud: the kernel and its mirror.
+    There is no plain mode: a filter that pools over no bank needs none.
     """
     if mode not in BANK_MODES:
         raise InputError(f"unknown bank mode {mode!r}, expected one of {BANK_MODES}")
@@ -106,8 +107,6 @@ def build_orientation_bank(kernel: np.ndarray, mode: str) -> list:
         if k == 3:
             return [rotate_kernel_45_ring(kernel, s) for s in range(8)]
         return [rotate_kernel_bilinear(kernel, 45.0 * s) for s in range(8)]
-    if mode == "plain":
-        return [kernel.copy()]
     axis = "left_right" if mode == "flip_lr" else "up_down"
     return [kernel.copy(), flip_kernel(kernel, axis)]
 

@@ -1,5 +1,5 @@
-"""Network layers: plain conv/pool/fc/activations, dropout in standard and
-split mode, and orientation-pooling convolution (rotate / flip-rotate).
+"""Network layers: convolution, pool, fc, activations, and dropout in
+standard and split mode.
 
 Layers hold parameters and accumulated gradients but no per-call activation
 state: `forward(x, cache)` writes whatever the matching backward needs into
@@ -12,11 +12,10 @@ Split-mode dropout maps R rows to 2R rows, the masked rows stacked over
 their complement, so every later layer runs both branches of the split as
 one batch through the same weights.
 
-Orientation-pooling convolution groups its filters by bank (plain, rotate8,
-flip_lr, flip_ud), convolves the batch with the variant-major stack of every
-bank variant in one conv call, and keeps per pooled filter the elementwise
-max over its variants' contiguous channel slices, with the first maximum
-winning, as in max-pooling.
+Convolution is one layer whose pooled filters take the max over an
+orientation bank (rotate8, flip_lr, flip_ud), the first maximum winning as
+in max-pooling; conv, rpc_conv and frpc_conv differ only in how many
+filters pool, and a plain convolution has none.
 """
 from __future__ import annotations
 
@@ -43,7 +42,6 @@ class Mask:
     """Binary keep-mask over the units of one layer, shared across a batch."""
 
     bits: np.ndarray
-    p: float
 
     def __post_init__(self):
         bits = np.asarray(self.bits)
@@ -109,12 +107,12 @@ class DropoutLayer(Layer):
 
     def draw_mask(self, d: int) -> Mask:
         bits = (self.rng_stream.random(d) < self.p).astype(np.float32)
-        return Mask(bits=bits, p=self.p)
+        return Mask(bits=bits)
 
     def forward(self, x, cache):
         mask = cache.get("mask")
         if mask is not None and not isinstance(mask, Mask):
-            mask = Mask(bits=np.asarray(mask, dtype=np.float32), p=self.p)
+            mask = Mask(bits=np.asarray(mask, dtype=np.float32))
         if self.mode == "split":
             y, mask = sdropout_forward(x, self, mask)
         else:
@@ -182,59 +180,29 @@ def sdropout_backward(grad: np.ndarray, mask: Mask):
 # Standard layers
 # ---------------------------------------------------------------------------
 
-class ConvLayer(Layer):
-    kind = "conv"
-
-    def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, pad: int = 0, dtype=np.float32):
-        super().__init__()
-        self.weights = np.zeros((out_channels, in_channels, kernel, kernel), dtype)
-        self.bias = np.zeros(out_channels, dtype)
-        self.stride = stride
-        self.pad = pad
-
-    def conv_params(self) -> ConvParams:
-        return ConvParams(self.weights, self.bias, self.stride, self.pad)
-
-    def params(self):
-        return {"weights": self.weights, "bias": self.bias}
-
-    def forward(self, x, cache):
-        cache["x"] = x
-        return conv2d_forward(x, self.conv_params())
-
-    def backward(self, grad_out, cache):
-        if "x" not in cache:
-            raise ConsistencyError("conv backward called without a matching forward")
-        gx, gw, gb = conv2d_backward(grad_out, cache["x"], self.conv_params())
-        self._accumulate("weights", gw)
-        self._accumulate("bias", gb)
-        return gx
-
-
 class _OrientedConv(Layer):
     """Convolution where some output filters pool over an orientation bank.
 
     Each pooled filter is convolved with every variant of its bank (8
     rotations, or original + one flip) and the responses are reduced by an
     elementwise max. The variants share the single stored kernel, so the
-    layer trains exactly as many values as a plain convolution.
+    layer trains exactly as many values as a plain convolution, which is
+    this layer with no pooled filter (the fractions default to 0).
 
-    The filters form groups by bank: plain (1 variant), rotate8 (8),
-    flip_lr (2) and flip_ud (2). The expanded kernel rows run group by
-    group and, inside a group, variant-major, so variant s of a group is one
-    contiguous channel range of the conv output. `forward` and `infer` share
-    one path: expand the weights, make one conv call over the whole batch,
-    and reduce each group's variant slices with `tensor_core._first_max`,
-    the rule max-pooling uses. `forward` also keeps the winner: the first
-    maximum and, where a NaN occurs, the first NaN, as np.argmax picks. It
-    records it per position as int8 in
-    `cache["rot_win"]` [N, rotated filters, H', W'] and `cache["flip_win"]`
-    [N, flipped filters, H', W'] (None without that bank). `infer` skips
-    the winner count and keeps no cache; its output is the same. The
-    variants are the weights times the `kernel_transforms.bank_maps`
-    matrices; the backward routes each gradient only to its winning variant
-    and pulls the kernel gradients back through the transposed maps.
+    Rows 0..O-1 of the expanded kernel bank are the stored kernels, variant
+    0 of every filter; each pooled group (rotate8, flip_lr, flip_ud) appends
+    its other S-1 variants, variant-major, so each variant of a group is one
+    contiguous channel range of the conv output. `forward` and `infer` make
+    one conv call over the whole batch, keep its first O channels, and
+    reduce each pooled filter's variants with `tensor_core._first_max`, the
+    rule max-pooling uses. `forward` also keeps the winner (the first
+    maximum or, where a NaN occurs, the first NaN, as np.argmax picks) per
+    position as int8 in `cache["rot_win"]` [N, rotated filters, H', W'] and
+    `cache["flip_win"]` [N, flipped filters, H', W'] (None without that
+    bank); `infer` skips it. The variants are the weights times the
+    `kernel_transforms.bank_maps` matrices; the backward routes each
+    gradient only to its winning variant and pulls the kernel gradients
+    back through the transposed maps.
 
     Ties are decided on the computed responses. Identical expanded kernel
     rows need not come out of the float64 GEMM bit-identical, so in float64
@@ -242,8 +210,9 @@ class _OrientedConv(Layer):
     tie by one last bit.
 
     Which filters rotate (and which flip) is drawn once at construction and
-    never changes afterwards. The config's layer table checks the fractions
-    and that the selections fit the filters.
+    never changes afterwards; an empty draw leaves `rng` untouched. The
+    config's layer table checks the fractions and that the selections fit
+    the filters.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
@@ -282,15 +251,12 @@ class _OrientedConv(Layer):
         self.rotate_set = np.array(sorted(rotate), dtype=int)
         self.flip_axes = flip_axes
         self.flip_set = np.array(sorted(flip_axes), dtype=int)
-        plain = np.setdiff1d(np.arange(out_channels),
-                             np.concatenate((self.rotate_set, self.flip_set)))
         flip_axis = np.array([flip_axes[int(f)] for f in self.flip_set])
         # (bank maps, filters, winner-map key, the filters' rows in that map,
-        # first expanded row): variant s of a group's m filters owns the
-        # expanded rows first + s*m .. first + (s+1)*m
-        self._groups, row = [], 0
+        # first expanded row): variant s >= 1 of a group's m filters owns the
+        # expanded rows first + (s-1)*m .. first + s*m
+        self._groups, row = [], out_channels
         for mode, filters, key, pooled in (
-                ("plain", plain, None, plain),
                 ("rotate8", self.rotate_set, "rot_win", self.rotate_set),
                 ("flip_lr", self.flip_set[flip_axis == "left_right"], "flip_win",
                  self.flip_set),
@@ -300,7 +266,7 @@ class _OrientedConv(Layer):
                 maps = kt.bank_maps(mode, k)
                 self._groups.append((maps, filters, key,
                                      np.searchsorted(pooled, filters), row))
-                row += len(maps) * filters.size
+                row += (len(maps) - 1) * filters.size
 
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
@@ -312,30 +278,31 @@ class _OrientedConv(Layer):
     def _pooled(self, x, winners: bool):
         """(pooled output, winner maps keyed like the cache, expanded conv
         params); the winner maps stay None unless `winners`."""
-        _, c, k, _ = self.weights.shape
-        # each group's [m*C, k*k] weights times its transposed maps, in
-        # float64: [S, m*C, k*k], so variant s of filter i is row s*m + i
-        expanded = np.concatenate([
-            np.matmul(self.weights[f].reshape(-1, k * k), maps.transpose(0, 2, 1))
-            .reshape(-1, k * k) for maps, f, *_ in self._groups])
+        o, c, k, _ = self.weights.shape
+        # each group's [m*C, k*k] weights times its transposed maps but the
+        # identity, in float64: [S-1, m*C, k*k], so variant s of filter i is
+        # row (s-1)*m + i of the group
         params = ConvParams(
-            expanded.astype(self.weights.dtype, copy=False).reshape(-1, c, k, k),
-            np.concatenate([np.tile(self.bias[f], len(maps))
-                            for maps, f, *_ in self._groups]),
+            np.concatenate([self.weights] + [
+                np.matmul(self.weights[f].reshape(-1, k * k), maps[1:].transpose(0, 2, 1))
+                .astype(self.weights.dtype, copy=False).reshape(-1, c, k, k)
+                for maps, f, *_ in self._groups]),
+            np.concatenate([self.bias] + [np.tile(self.bias[f], len(maps) - 1)
+                                          for maps, f, *_ in self._groups]),
             self.stride, self.pad)
         y = conv2d_forward(x, params)
         n, _, h, w = y.shape
-        out = np.empty((n, self.weights.shape[0], h, w), y.dtype)
+        # without a pooled filter this is the conv output itself
+        out = np.ascontiguousarray(y[:, :o])
         wins = {key: np.empty((n, pooled.size, h, w), np.int8)
                 if winners and pooled.size else None
                 for key, pooled in (("rot_win", self.rotate_set),
                                     ("flip_win", self.flip_set))}
         for maps, f, key, pos, row in self._groups:
             m = f.size
-            # a plain group's one slice comes through as is, with no winner
             best, win = _first_max(
-                [y[:, row + s * m:row + (s + 1) * m] for s in range(len(maps))],
-                winners and key is not None)
+                [out[:, f]] + [y[:, row + s * m:row + (s + 1) * m]
+                               for s in range(len(maps) - 1)], winners)
             out[:, f] = best
             if win is not None:
                 wins[key][:, pos] = win
@@ -351,39 +318,48 @@ class _OrientedConv(Layer):
 
     def backward(self, grad_out, cache):
         if "params" not in cache:
-            raise ConsistencyError(
-                "orientation-pool backward called without a matching forward")
+            raise ConsistencyError("conv backward called without a matching forward")
         if grad_out.shape != cache["out_shape"]:
             raise ConsistencyError(
                 f"grad_out shape {grad_out.shape} does not match cached forward "
                 f"output {cache['out_shape']}; stale cache?")
-        params = cache["params"]
-        n, _, h, w = grad_out.shape
-        # channel-major, so the rows of each variant are one contiguous block
-        g = np.zeros((params.out_channels, n, h, w), dtype=grad_out.dtype)
+        params, o = cache["params"], self.weights.shape[0]
+        g = grad_out
+        if self._groups:
+            # each filter's own kernel takes rows 0..O-1, the other variants follow
+            n, _, h, w = grad_out.shape
+            g = np.zeros((n, params.out_channels, h, w), dtype=grad_out.dtype)
+            g[:, :o] = grad_out
         for maps, f, key, pos, row in self._groups:
-            m = f.size
-            g_f = grad_out.transpose(1, 0, 2, 3)[f]
-            # a plain group has one variant and no winner map
-            win = cache[key].transpose(1, 0, 2, 3)[pos] if key else 0
-            for s in range(len(maps)):
-                np.copyto(g[row + s * m:row + (s + 1) * m], g_f, where=win == s)
-        gx, gw_exp, gb_exp = conv2d_backward(g.transpose(1, 0, 2, 3), cache["x"], params)
+            m, g_f, win = f.size, grad_out[:, f], cache[key][:, pos]
+            for s in range(1, len(maps)):
+                np.copyto(g[:, row + (s - 1) * m:row + s * m], g_f, where=win == s)
+            g_f[win != 0] = 0
+            g[:, f] = g_f
+        gx, gw_exp, gb_exp = conv2d_backward(g, cache["x"], params)
 
-        gw = np.zeros_like(self.weights)
-        gb = np.zeros_like(self.bias)
+        gw, gb = gw_exp[:o].copy(), gb_exp[:o].copy()
         for maps, f, _, _, row in self._groups:
-            s, m = len(maps), f.size
+            s, m, kk = len(maps), f.size, maps.shape[-1]
+            rows = slice(row, row + (s - 1) * m)
             # [S, m*C, k*k] variant gradients times the maps, cast, then
             # summed over the variants in variant order
-            pulled = np.matmul(gw_exp[row:row + s * m].reshape(s, -1, maps.shape[-1]), maps)
+            pulled = np.matmul(np.concatenate((gw_exp[f].reshape(1, -1, kk),
+                                               gw_exp[rows].reshape(s - 1, -1, kk))), maps)
             pulled = pulled.astype(gw.dtype, copy=False)
             gw[f] = pulled.sum(axis=0).reshape(m, *gw.shape[1:])
             # summed as [filter, variant] rows
-            gb[f] = gb_exp[row:row + s * m].reshape(s, m).T.copy().sum(axis=1)
+            gb[f] = np.concatenate((gb_exp[f][None], gb_exp[rows].reshape(s - 1, m))) \
+                .T.copy().sum(axis=1)
         self._accumulate("weights", gw)
         self._accumulate("bias", gb)
         return gx
+
+
+class ConvLayer(_OrientedConv):
+    """Plain convolution: no filter pools over an orientation bank."""
+
+    kind = "conv"
 
 
 class RpcConvLayer(_OrientedConv):
@@ -392,25 +368,12 @@ class RpcConvLayer(_OrientedConv):
 
     kind = "rpc_conv"
 
-    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
-                 rotate_fraction=0.5, rng=None, dtype=np.float32):
-        super().__init__(in_channels, out_channels, kernel, stride, pad,
-                         rotate_fraction=rotate_fraction, flip_fraction=0.0,
-                         rng=rng, dtype=dtype)
-
 
 class FrpcConvLayer(_OrientedConv):
     """Flip-rotate-pooling convolution: disjoint filter subsets pool over 8
     rotations or over {original, flipped}; flip axes alternate LR/UD."""
 
     kind = "frpc_conv"
-
-    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
-                 rotate_fraction=0.25, flip_fraction=0.25, rng=None,
-                 dtype=np.float32):
-        super().__init__(in_channels, out_channels, kernel, stride, pad,
-                         rotate_fraction=rotate_fraction,
-                         flip_fraction=flip_fraction, rng=rng, dtype=dtype)
 
 
 class MaxPoolLayer(Layer):

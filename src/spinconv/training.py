@@ -72,9 +72,9 @@ def _construct(fields: dict, shape, rng_select, mask_seeds, dtype):
     """The layer for one entry of the shape pass; in-sizes come from `shape`."""
     args = {k: v for k, v in fields.items() if k != "kind"}
     constructors = {
-        "conv": lambda: ConvLayer(shape[0], **args, dtype=dtype),
-        "rpc_conv": lambda: RpcConvLayer(shape[0], **args, rng=rng_select, dtype=dtype),
-        "frpc_conv": lambda: FrpcConvLayer(shape[0], **args, rng=rng_select, dtype=dtype),
+        # a plain conv draws an empty selection, which leaves rng_select as it was
+        **{cls.kind: lambda cls=cls: cls(shape[0], **args, rng=rng_select, dtype=dtype)
+           for cls in (ConvLayer, RpcConvLayer, FrpcConvLayer)},
         "maxpool": lambda: MaxPoolLayer(**args),
         "relu": ReluLayer,
         "prelu": lambda: PReluLayer(shape[0], dtype=dtype),

@@ -148,7 +148,8 @@ def test_c06_parameter_parity():
             sum(arr.size for arr in layer.params().values())
             for layer in (ConvLayer(in_ch, out_ch, k),
                           RpcConvLayer(in_ch, out_ch, k, rotate_fraction=0.5),
-                          FrpcConvLayer(in_ch, out_ch, k)))
+                          FrpcConvLayer(in_ch, out_ch, k, rotate_fraction=0.25,
+                                        flip_fraction=0.25)))
         ok = ok and plain == rpc == frpc
     _verdict(6, "parameter-parity", ok,
              "rpc and frpc match plain conv exactly over 4 configs",

@@ -385,20 +385,44 @@ def _selection(value, index="0"):
     return mutate
 
 
+def _empty_selection_on_conv(header):
+    # the rpc layer becomes a plain conv with the same tensors; a plain conv
+    # owns no selection, not even an empty one
+    header["layers"][0] = {"kind": "conv", "out_channels": 4, "kernel": 3, "stride": 4}
+    header["selections"] = {"0": {"rotate": [], "flip_axes": {}}}
+
+
 @pytest.mark.parametrize("mutate", [
     _selection({"rotate": [0, 2], "flip_axes": {}}, index="7"),
     _selection({"rotate": [99], "flip_axes": {}}),
     _selection({"rotate": [0], "flip_axes": {}}, index="2"),
     _selection("rotate"),
     _selection({"rotate": [1, 1], "flip_axes": {}}),
-    _selection({"rotate": [-1], "flip_axes": {}})],
+    _selection({"rotate": [-1], "flip_axes": {}}),
+    _selection({"rotate": [0], "flip_axes": {}}),
+    _selection({"rotate": [0, 1], "flip_axes": {"2": "left_right", "3": "up_down"}}),
+    _empty_selection_on_conv],
     ids=["layer_out_of_range", "rotate_index_99", "fc_layer", "not_an_object",
-         "duplicate_rotate", "negative_rotate"])
+         "duplicate_rotate", "negative_rotate", "rotate_count", "flip_on_rpc",
+         "conv_layer"])
 def test_eval_bad_selection_exit_code(rpc_checkpoint, tmp_path, mutate):
     ckpt, images, labels = rpc_checkpoint
     bad = _tampered(ckpt, tmp_path, mutate)
     _assert_config_error_exit("eval", "--checkpoint", bad, "--images", images,
                               "--labels", labels, code=3)
+
+
+def test_eval_idx_sizes_beyond_file_exit_code(rpc_checkpoint, tmp_path):
+    """An images header that promises more pixels than the file holds is
+    refused before anything is read, even when n * rows * cols overflows
+    an index-sized integer."""
+    ckpt, images, labels = rpc_checkpoint
+    raw = open(images, "rb").read()
+    forged = tmp_path / "forged-images.idx"
+    forged.write_bytes(raw[:4] + struct.pack(">III", *[2**32 - 1] * 3) + raw[16:])
+    err = _assert_config_error_exit("eval", "--checkpoint", ckpt, "--images", str(forged),
+                                    "--labels", labels, code=3)
+    assert "truncated" in err
 
 
 def test_eval_non_finite_tensor_exit_code(overfit_run, tmp_path):

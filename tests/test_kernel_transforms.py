@@ -195,7 +195,7 @@ def test_bank_symmetric_kernel_all_variants_identical():
 def test_bank_delta_kernel():
     k = np.zeros((1, 3, 3))
     k[0, 1, 1] = 1.0
-    for mode in ("plain", "rotate8", "flip_lr", "flip_ud"):
+    for mode in ("rotate8", "flip_lr", "flip_ud"):
         bank = kt.build_orientation_bank(k, mode)
         for v in bank:
             assert np.array_equal(v, k)

@@ -15,7 +15,7 @@ from spinconv.tensor_core import _CHUNK
 
 
 def _mask(bits):
-    return Mask(bits=np.asarray(bits, dtype=np.float32), p=0.5)
+    return Mask(bits=np.asarray(bits, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_split_mode_forces_half():
 
 def test_mask_rejects_non_binary():
     with pytest.raises(InputError):
-        Mask(bits=np.array([0.5, 1.0], np.float32), p=0.5)
+        Mask(bits=np.array([0.5, 1.0], np.float32))
 
 
 def test_mask_draw_determinism():
@@ -184,12 +184,35 @@ def test_rpc_symmetric_filter_equals_plain_conv():
     assert np.allclose(y, ref, rtol=1e-13, atol=1e-13)
 
 
-def test_rpc_fraction_zero_is_plain_conv():
-    layer = _rpc(2, 3, r=0.0)
-    x = np.random.default_rng(2).normal(size=(1, 2, 5, 5))
-    y = layer.forward(x, {})
+# a conv layer of each kind with no pooled filter
+NO_POOLED = {
+    "conv": lambda **kw: ConvLayer(3, 4, 3, **kw),
+    "rpc_r0": lambda **kw: RpcConvLayer(3, 4, 3, rotate_fraction=0.0, **kw),
+    "frpc_0_0": lambda **kw: FrpcConvLayer(3, 4, 3, rotate_fraction=0.0,
+                                           flip_fraction=0.0, **kw),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("kind", list(NO_POOLED))
+def test_no_pooled_filter_is_plain_conv(kind, n, dtype):
+    """Forward, infer and all three gradients are the plain conv kernels'
+    own, byte for byte."""
+    layer = NO_POOLED[kind](stride=2, pad=1, rng=np.random.default_rng(18), dtype=dtype)
+    rng = np.random.default_rng(19)
+    for arr in layer.params().values():
+        arr[...] = rng.normal(size=arr.shape)
+    x = rng.normal(size=(n, 3, 7, 8)).astype(dtype)
     ref = tc.conv2d_forward(x, layer.conv_params())
-    assert np.array_equal(y, ref)
+    cache = {}
+    _assert_same_bytes(layer.forward(x, cache), ref)
+    _assert_same_bytes(layer.infer(x), ref)
+    g = rng.normal(size=ref.shape).astype(dtype)
+    gx = layer.backward(g, cache)
+    for got, want in zip((gx, layer.grads["weights"], layer.grads["bias"]),
+                         tc.conv2d_backward(g, x, layer.conv_params())):
+        _assert_same_bytes(got, want)
 
 
 def test_rpc_matches_explicit_max_over_orientations():
@@ -272,15 +295,6 @@ def test_frpc_flip_symmetric_filter_equals_plain_conv():
     ref = tc.conv2d_forward(x, layer.conv_params())
     # same rounding caveat as the rotation-symmetric case above
     assert np.allclose(y, ref, rtol=1e-13, atol=1e-13)
-
-
-def test_frpc_zero_fractions_is_plain_conv():
-    layer = FrpcConvLayer(2, 3, 3, rotate_fraction=0.0, flip_fraction=0.0,
-                          rng=np.random.default_rng(18), dtype=np.float64)
-    layer.weights[...] = np.random.default_rng(19).normal(size=layer.weights.shape)
-    x = np.random.default_rng(20).normal(size=(1, 2, 5, 5))
-    assert np.array_equal(layer.forward(x, {}),
-                          tc.conv2d_forward(x, layer.conv_params()))
 
 
 def test_frpc_matches_two_way_max():
