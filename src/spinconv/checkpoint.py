@@ -3,12 +3,15 @@ the seed, and the mode flags.
 
 Binary layout: 8-byte magic "SPINCONV", little-endian u32 format version
 (currently 1), little-endian u32 header length, UTF-8 JSON header, then the
-tensors as raw little-endian float32 in header order. A header whose
-network fails the config's layer table, whose tensor shapes are not
-non-negative sizes or do not add up to the payload, or whose selections do
-not fit the rpc/frpc layers of the rebuilt network in count and range is
-refused, as are an inference flag other than false, a missing parameter
-tensor and non-finite tensor values.
+tensors as raw little-endian float32 in header order.
+
+`_header` is the one description of the header. The input shape, layers and
+seed fix all of it, the rotate/flip selections included, which
+`init_weights` draws from the seed. Load checks the seed and the network
+against the config's layer table, rebuilds the network, and refuses the file
+unless each header key, as canonical JSON, equals that key of the rebuilt
+network's `_header`: it accepts exactly the headers save writes. `extra`
+must be an object, tensor values finite, and the last tensor ends the file.
 
 A checkpoint is written to a temporary file beside the target and renamed
 over it, so a failed write leaves any earlier checkpoint as it was.
@@ -18,34 +21,55 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import struct
 
 import numpy as np
 
 from .config import _is_int, network_shapes
+from .data import _read_exact
 from .errors import ConfigError, FormatError
-from .layers import FrpcConvLayer, NetworkSpec, RpcConvLayer
+from .layers import NetworkSpec
 from .training import init_weights
 
 MAGIC = b"SPINCONV"
 FORMAT_VERSION = 1
 
 
-# the layers whose filter selection is drawn and stored; a plain conv's is
-# empty by kind
-_SELECTING = (RpcConvLayer, FrpcConvLayer)
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _selections(net):
     out = {}
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, _SELECTING):
+        # a plain conv's selection is empty by kind, so it stores none
+        if layer.kind in ("rpc_conv", "frpc_conv"):
             out[str(i)] = {
                 "rotate": [int(f) for f in layer.rotate_set],
                 "flip_axes": {str(f): ax for f, ax in sorted(layer.flip_axes.items())},
             }
     return out
+
+
+def _header(net, mean_shape, extra) -> dict:
+    """The header of `net`, with a mean-image tensor of `mean_shape` last
+    unless that is None, and `extra` unless it is empty."""
+    tensors = [{"layer": i, "name": name, "shape": list(arr.shape)}
+               for i, name, arr in net.named_params()]
+    if mean_shape is not None:
+        tensors.append({"layer": -1, "name": "mean_image", "shape": list(mean_shape)})
+    header = {
+        "format_version": FORMAT_VERSION,
+        "seed": net.seed,
+        "inference": bool(net.inference),
+        "input_shape": list(net.spec.input_shape),
+        "layers": net.spec.layers,
+        "selections": _selections(net),
+        "tensors": tensors,
+    }
+    if extra:
+        header["extra"] = extra
+    return header
 
 
 def save_checkpoint(net, path, mean_image: np.ndarray = None, extra: dict = None):
@@ -58,25 +82,11 @@ def save_checkpoint(net, path, mean_image: np.ndarray = None, extra: dict = None
     if net.inference:
         raise ConfigError("checkpoints store the training representation; "
                           "save before converting with to_inference")
-    tensors = [{"layer": i, "name": name, "shape": list(arr.shape)}
-               for i, name, arr in net.named_params()]
     payload = [arr for _, _, arr in net.named_params()]
     if mean_image is not None:
-        tensors.append({"layer": -1, "name": "mean_image",
-                        "shape": list(mean_image.shape)})
         payload.append(mean_image)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "seed": net.seed,
-        "inference": bool(net.inference),
-        "input_shape": list(net.spec.input_shape),
-        "layers": net.spec.layers,
-        "selections": _selections(net),
-        "tensors": tensors,
-    }
-    if extra:
-        header["extra"] = extra
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = _header(net, None if mean_image is None else mean_image.shape, extra)
+    blob = _canonical(header).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -92,78 +102,15 @@ def save_checkpoint(net, path, mean_image: np.ndarray = None, extra: dict = None
         raise
 
 
-def _read_exact(f, count, path):
-    data = f.read(count)
-    if len(data) != count:
-        raise OSError(f"truncated checkpoint {path}: wanted {count} more bytes, "
-                      f"got {len(data)}")
-    return data
-
-
-def _key_index(key):
-    """The integer a JSON object key spells in canonical decimal, else None."""
-    return int(key) if re.fullmatch(r"0|-?[1-9][0-9]*", key) else None
-
-
-def _check_header(header, path):
-    """Raise FormatError unless the header holds what the rebuild reads."""
-    where = f"checkpoint header of {path}"
-    if not isinstance(header, dict):
-        raise FormatError(f"{where} must be an object")
-    try:
-        network_shapes(header.get("input_shape"), header.get("layers"), where)
-    except ConfigError as e:
-        raise FormatError(str(e)) from e
-    seed, tensors = header.get("seed"), header.get("tensors")
-    if not (_is_int(seed) and seed >= 0 and isinstance(tensors, list)):
-        raise FormatError(f"{where} needs a seed >= 0 and a tensor list, "
-                          f"got {seed!r} and {tensors!r}")
-    for i, t in enumerate(tensors):
-        if not (isinstance(t, dict) and isinstance(t.get("layer"), int)
-                and isinstance(t.get("name"), str) and isinstance(t.get("shape"), list)
-                and all(_is_int(v) and v >= 0 for v in t["shape"])):
-            raise FormatError(f"{where}: tensors[{i}] needs an integer layer, a "
-                              f"name and a list of non-negative sizes, got {t!r}")
-    if not isinstance(header.get("selections", {}), dict):
-        raise FormatError(f"{where}: selections must be an object")
-    if header.get("inference", False) is not False:
-        raise FormatError(f"{where}: inference must be false, got "
-                          f"{header['inference']!r}; checkpoints store the "
-                          "training representation")
-
-
-def _set_selections(net, selections, where):
-    """Install each stored selection on its rpc/frpc layer; FormatError
-    unless it names such a layer, selects as many rotated and flipped
-    filters as the rebuilt layer drew, and fits its filters."""
-    for idx, sel in selections.items():
-        i = _key_index(idx)
-        layer = net.layers[i] if i is not None and 0 <= i < len(net.layers) else None
-        if not (isinstance(layer, _SELECTING) and isinstance(sel, dict)
-                and isinstance(sel.get("rotate"), list)
-                and all(_is_int(f) for f in sel["rotate"])
-                and isinstance(sel.get("flip_axes"), dict)
-                and all(_key_index(f) is not None for f in sel["flip_axes"])
-                and len(sel["rotate"]) == layer.rotate_set.size
-                and len(sel["flip_axes"]) == layer.flip_set.size):
-            raise FormatError(f"{where}: selections[{idx!r}] must give an rpc/frpc "
-                              f"layer a rotate list and a flip_axes object as long "
-                              f"as its fractions select, got {sel!r}")
-        try:
-            layer.set_selection(sel["rotate"], {_key_index(f): ax
-                                                for f, ax in sel["flip_axes"].items()})
-        except ConfigError as e:
-            raise FormatError(f"{where}: selections[{idx!r}]: {e}") from e
-
-
 def load_checkpoint(path):
     """Rebuild the network from a checkpoint.
 
     Returns (net, meta) where meta carries the mean image (or None) and the
-    raw header. The network is reconstructed through the normal build path
-    from the stored spec and seed, then the stored selections and tensors
-    overwrite the freshly drawn state.
+    raw header. The network is rebuilt through the normal build path from
+    the stored spec and seed, its header compared with the stored one, and
+    the stored tensors read into its parameters.
     """
+    where = f"checkpoint header of {path}"
     with open(path, "rb") as f:
         magic = _read_exact(f, 8, path)
         if magic != MAGIC:
@@ -175,28 +122,41 @@ def load_checkpoint(path):
             header = json.loads(_read_exact(f, header_len, path).decode("utf-8"))
         except ValueError as e:
             raise FormatError(f"unreadable checkpoint header in {path}: {e}") from e
-        _check_header(header, path)
-        need = sum(4 * math.prod(t["shape"]) for t in header["tensors"])
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if need > left:
-            raise OSError(f"truncated checkpoint {path}: its tensors need {need} "
-                          f"bytes, {left} follow the header")
-        if need < left:
-            raise FormatError(f"trailing bytes after the last tensor in {path}: "
-                              f"its tensors need {need} bytes, {left} follow the header")
+        if not (isinstance(header, dict) and _is_int(header.get("seed"))
+                and header["seed"] >= 0 and isinstance(header.get("extra", {}), dict)):
+            raise FormatError(f"{where} must be an object with a seed >= 0 and, "
+                              "if any, an extra object")
+        seed, extra = header["seed"], header.get("extra")
+        # the mean image is the one tensor the network does not describe; a
+        # shape other than a list of sizes leaves it out, so the tensors differ
+        tensors = header.get("tensors")
+        last = tensors[-1] if isinstance(tensors, list) and tensors else None
+        mean_shape = (last.get("shape") if isinstance(last, dict)
+                      and last.get("name") == "mean_image" else None)
+        if not (isinstance(mean_shape, list)
+                and all(_is_int(v) and v >= 0 for v in mean_shape)):
+            mean_shape = None
+        try:
+            network_shapes(header.get("input_shape"), header.get("layers"), where)
+        except ConfigError as e:
+            raise FormatError(str(e)) from e
 
-        spec = NetworkSpec(input_shape=tuple(header["input_shape"]),
-                           layers=header["layers"])
-        net = init_weights(spec, header["seed"])
-        _set_selections(net, header.get("selections", {}),
-                        f"checkpoint header of {path}")
+        net = init_weights(NetworkSpec(input_shape=tuple(header["input_shape"]),
+                                       layers=header["layers"]), seed)
+        want = _header(net, mean_shape, extra)
+        for key in sorted(set(header) | set(want)):
+            got, wanted = (_canonical(h[key]) if key in h else "absent"
+                           for h in (header, want))
+            if got != wanted:
+                raise FormatError(f"{where}: {key} is {got}, but the network it "
+                                  f"describes saves {wanted}")
 
         mean_image = None
-        params = {(i, name): arr for i, name, arr in net.named_params()}
-        for entry in header["tensors"]:
+        targets = [arr for _, _, arr in net.named_params()] + [None]
+        for entry, target in zip(want["tensors"], targets):
             shape = tuple(entry["shape"])
-            raw = _read_exact(f, 4 * math.prod(shape), path)
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            arr = np.frombuffer(_read_exact(f, 4 * math.prod(shape), path),
+                                dtype="<f4").reshape(shape)
             # a float64 sum of float32 values is finite exactly when they all
             # are; +inf plus -inf is NaN, which needs no warning
             with np.errstate(invalid="ignore"):
@@ -204,21 +164,11 @@ def load_checkpoint(path):
             if not finite:
                 raise FormatError(f"checkpoint tensor ({entry['layer']}, "
                                   f"{entry['name']!r}) holds non-finite values ({path})")
-            if entry["name"] == "mean_image":
+            if target is None:
                 mean_image = arr.astype(np.float32)
-                continue
-            key = (entry["layer"], entry["name"])
-            if key not in params:
-                raise FormatError(f"checkpoint tensor {key} has no home in the "
-                                  f"rebuilt network ({path})")
-            target = params[key]
-            if target.shape != shape:
-                raise FormatError(
-                    f"checkpoint tensor {key} has shape {shape}, network "
-                    f"expects {target.shape} ({path})")
-            target[...] = arr
-            del params[key]
-        if params:
-            raise FormatError(f"checkpoint lacks tensors {sorted(params)} ({path})")
+            else:
+                target[...] = arr
+        if f.read(1):
+            raise FormatError(f"trailing bytes after the last tensor in {path}")
     meta = {"mean_image": mean_image, "header": header}
     return net, meta

@@ -8,10 +8,10 @@ each layer kind its input rank, its output-shape rule and its rules across
 fields. The tables are the only copy of these defaults and checks; the
 layer, optimizer and schedule classes trust what they resolved.
 `network_shapes` runs the layer table as a dry shape pass, so geometry
-errors surface before any data is read; `training.init_weights` and
-checkpoint loading use the same pass. This module stays importable
-without numpy so the CLI can pin thread counts before any numerical code
-loads.
+errors and networks over the `MAX_VALUES` size cap surface before any data
+is read; `training.init_weights` and checkpoint loading use the same pass.
+This module stays importable without numpy so the CLI can pin thread counts
+before any numerical code loads.
 """
 from __future__ import annotations
 
@@ -61,6 +61,11 @@ class LayerKind(NamedTuple):
     rank: int             # input rank it needs: 3 images, 1 vectors, None either
     out_shape: Callable   # (resolved fields, input shape) -> output shape
     rules: tuple = ()     # (test over the resolved fields, message template) pairs
+    weights: Callable = lambda f, shape: 0  # (fields, input shape) -> weight values
+
+
+# the most values one layer's per-image output or weight tensor may hold
+MAX_VALUES = 2 ** 24
 
 
 REQUIRED = object()
@@ -87,10 +92,14 @@ def _conv_shape(f, shape):
     return _window_shape(shape, f["out_channels"], f["kernel"], f["stride"], f["pad"])
 
 
+def _conv_weights(f, shape):
+    return f["out_channels"] * shape[0] * f["kernel"] ** 2
+
+
 LAYER_KINDS = {
-    "conv": LayerKind(_CONV_FIELDS, 3, _conv_shape),
+    "conv": LayerKind(_CONV_FIELDS, 3, _conv_shape, weights=_conv_weights),
     "rpc_conv": LayerKind({**_CONV_FIELDS, "rotate_fraction": (0.5, _FRACTION)},
-                          3, _conv_shape),
+                          3, _conv_shape, weights=_conv_weights),
     "frpc_conv": LayerKind(
         {**_CONV_FIELDS, "rotate_fraction": (0.25, _FRACTION),
          "flip_fraction": (0.25, _FRACTION)}, 3, _conv_shape,
@@ -100,7 +109,8 @@ LAYER_KINDS = {
          (lambda f: selection_size(f["rotate_fraction"], f["out_channels"])
           + selection_size(f["flip_fraction"], f["out_channels"]) <= f["out_channels"],
           "rotate_fraction {rotate_fraction} and flip_fraction {flip_fraction} "
-          "select more than {out_channels} filters once rounded"))),
+          "select more than {out_channels} filters once rounded")),
+        weights=_conv_weights),
     # a callable default is computed from the fields resolved before it
     "maxpool": LayerKind(
         {"window": (REQUIRED, _COUNT), "stride": (lambda f: f["window"], _COUNT)}, 3,
@@ -109,7 +119,8 @@ LAYER_KINDS = {
     "prelu": LayerKind({}, None, lambda f, shape: shape),
     "flatten": LayerKind({}, None, lambda f, shape: (math.prod(shape),)),
     "fc": LayerKind({"out_features": (REQUIRED, _COUNT)}, 1,
-                    lambda f, shape: (f["out_features"],)),
+                    lambda f, shape: (f["out_features"],),
+                    weights=lambda f, shape: f["out_features"] * shape[0]),
     "dropout": LayerKind(
         {"p": (0.5, ("within (0, 1)", lambda v: _is_real(v) and 0.0 < v < 1.0)),
          "mode": ("standard", ("'standard' or 'split'",
@@ -168,8 +179,9 @@ def validate_layer(desc: dict, where: str) -> dict:
 def network_shapes(input_shape, layers, where: str) -> list:
     """Dry shape pass: (resolved fields, input shape, output shape) per layer,
     shapes (C, H, W) before flatten and (d,) after; a ConfigError names
-    `{where}.input_shape` or `{where}.layers[i]`. Each dropout layer needs a
-    later weighted layer, which inference scales by its keep probability."""
+    `{where}.input_shape` or `{where}.layers[i]`, also for a layer over the
+    MAX_VALUES cap. Each dropout layer needs a later weighted layer, which
+    inference scales by its keep probability."""
     _require(isinstance(input_shape, (list, tuple)) and len(input_shape) == 3
              and all(_is_int(v) and v >= 1 for v in input_shape),
              f"{where}.input_shape must be [channels, height, width], "
@@ -188,6 +200,9 @@ def network_shapes(input_shape, layers, where: str) -> list:
             out = entry.out_shape(fields, shape)
         except DimensionError as e:
             raise ConfigError(f"{at}: {kind} {e}") from e
+        size = max(math.prod(out), entry.weights(fields, shape))
+        _require(size <= MAX_VALUES, f"{at}: {kind} layer holds {size} values in "
+                                     f"its output {out} or weights, over {MAX_VALUES}")
         plan.append((fields, shape, out))
         shape = out
         if kind in ("conv", "rpc_conv", "frpc_conv", "fc"):

@@ -45,7 +45,7 @@ def _read_exact(f, count, path):
     """`count` bytes of f, compared with the bytes left before any is read."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if count > left:
-        raise OSError(f"truncated IDX file {path}: wanted {count} more bytes, "
+        raise OSError(f"truncated {path}: wanted {count} more bytes, "
                       f"{left} are left")
     return f.read(count)
 

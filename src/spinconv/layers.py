@@ -210,9 +210,9 @@ class _OrientedConv(Layer):
     tie by one last bit.
 
     Which filters rotate (and which flip) is drawn once at construction and
-    never changes afterwards; an empty draw leaves `rng` untouched. The
-    config's layer table checks the fractions and that the selections fit
-    the filters.
+    never changes afterwards, so the network's seed fixes it; an empty draw
+    leaves `rng` untouched. The config's layer table checks the fractions
+    and that the selections fit the filters, so every draw is valid.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
@@ -230,28 +230,13 @@ class _OrientedConv(Layer):
         rotate = rng.choice(out_channels, size=n_rot, replace=False)
         remaining = np.setdiff1d(np.arange(out_channels), rotate)
         flip_order = rng.choice(remaining, size=n_flip, replace=False)
+        self.rotate_set = np.sort(rotate)
         # flip axes alternate in selection order: even draw -> left-right,
         # odd draw -> up-down
-        axes = {int(f): ("left_right" if i % 2 == 0 else "up_down")
-                for i, f in enumerate(flip_order)}
-        self.set_selection(sorted(int(i) for i in rotate), axes)
-
-    # -- selection layout -------------------------------------------------
-    def set_selection(self, rotate_indices, flip_axes: dict):
-        """Install the fixed filter selection (also used by checkpoint load)."""
-        out_channels, _, k, _ = self.weights.shape
-        rotate = [int(i) for i in rotate_indices]
-        flip_axes = {int(f): ax for f, ax in flip_axes.items()}
-        chosen = rotate + list(flip_axes)
-        if (len(set(chosen)) < len(chosen) or not all(0 <= i < out_channels for i in chosen)
-                or not all(ax in kt.FLIP_AXES for ax in flip_axes.values())):
-            raise ConfigError(
-                f"selection rotate {rotate}, flip {flip_axes} needs distinct filters "
-                f"in [0, {out_channels}) and flip axes in {kt.FLIP_AXES}")
-        self.rotate_set = np.array(sorted(rotate), dtype=int)
-        self.flip_axes = flip_axes
-        self.flip_set = np.array(sorted(flip_axes), dtype=int)
-        flip_axis = np.array([flip_axes[int(f)] for f in self.flip_set])
+        self.flip_axes = {int(f): ("left_right" if i % 2 == 0 else "up_down")
+                          for i, f in enumerate(flip_order)}
+        self.flip_set = np.array(sorted(self.flip_axes), dtype=int)
+        flip_axis = np.array([self.flip_axes[int(f)] for f in self.flip_set])
         # (bank maps, filters, winner-map key, the filters' rows in that map,
         # first expanded row): variant s >= 1 of a group's m filters owns the
         # expanded rows first + (s-1)*m .. first + s*m
@@ -263,7 +248,7 @@ class _OrientedConv(Layer):
                 ("flip_ud", self.flip_set[flip_axis == "up_down"], "flip_win",
                  self.flip_set)):
             if filters.size:
-                maps = kt.bank_maps(mode, k)
+                maps = kt.bank_maps(mode, kernel)
                 self._groups.append((maps, filters, key,
                                      np.searchsorted(pooled, filters), row))
                 row += (len(maps) - 1) * filters.size

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinconv import checkpoint as ck, training as tr
 from spinconv.errors import ConfigError, FormatError
@@ -124,7 +126,7 @@ def test_orphan_tensor_is_rejected(tmp_path):
         header["tensors"][0]["name"] = "bogus"
 
     _tamper_header(path, rename_first)
-    with pytest.raises(FormatError, match="no home"):
+    with pytest.raises(FormatError, match="tensors is"):
         ck.load_checkpoint(str(path))
 
 
@@ -155,7 +157,7 @@ def test_missing_tensor_is_rejected(tmp_path):
     _tamper_header(path, drop_last)
     assert last == {"layer": 6, "name": "bias", "shape": [3]}
     path.write_bytes(path.read_bytes()[:-4 * 3])  # and its payload
-    with pytest.raises(FormatError, match="lacks"):
+    with pytest.raises(FormatError, match="tensors is"):
         ck.load_checkpoint(str(path))
 
 
@@ -178,3 +180,66 @@ def test_failed_save_leaves_earlier_checkpoint(tmp_path):
         ck.save_checkpoint(_net(seed=6), str(path), mean_image=bad_mean)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+# values no field of a saved header holds as they are here; each layer-size
+# field the list reaches is refused by the config or its size cap before
+# anything is allocated
+_HOSTILE = [None, True, False, 0, -1, 1.0, 0.5, 2**31, 2**64, "x", [], {}]
+
+
+def _leaves(node, path=()):
+    """The path of every non-container value in a decoded JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else None)
+    if items is None:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+@pytest.fixture(scope="module")
+def frpc_split_file(tmp_path_factory):
+    """A saved frpc + split-dropout network with a mean image and extra."""
+    spec = NetworkSpec(input_shape=(1, 6, 6), layers=[
+        {"kind": "frpc_conv", "out_channels": 4, "kernel": 3, "pad": 1,
+         "rotate_fraction": 0.25, "flip_fraction": 0.5},
+        {"kind": "relu"},
+        {"kind": "maxpool", "window": 2},
+        {"kind": "flatten"},
+        {"kind": "fc", "out_features": 8},
+        {"kind": "dropout", "mode": "split"},
+        {"kind": "fc", "out_features": 3},
+    ])
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    ck.save_checkpoint(tr.init_weights(spec, seed=4), str(path),
+                       mean_image=np.full((1, 6, 6), 0.5, np.float32),
+                       extra={"note": "fixture"})
+    raw = path.read_bytes()
+    header_len = struct.unpack("<I", raw[12:16])[0]
+    return path, json.loads(raw[16:16 + header_len])
+
+
+def _replace_leaf(node, leaf, value):
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_accepts_only_headers_save_writes(frpc_split_file, data):
+    """Each hostile value in turn replaces one drawn leaf of the header; the
+    file is refused, or loads into a network that saves the same bytes."""
+    path, header = frpc_split_file
+    leaf = data.draw(st.sampled_from(_leaves(header)), label="leaf")
+    bad, again = path.with_name("bad.bin"), path.with_name("again.bin")
+    for value in _HOSTILE:
+        bad.write_bytes(path.read_bytes())
+        _tamper_header(bad, lambda h: _replace_leaf(h, leaf, value))
+        try:
+            net, meta = ck.load_checkpoint(str(bad))
+        except (FormatError, OSError):
+            continue
+        ck.save_checkpoint(net, str(again), mean_image=meta["mean_image"],
+                           extra=meta["header"].get("extra"))
+        assert again.read_bytes() == bad.read_bytes(), value

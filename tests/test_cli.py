@@ -187,8 +187,17 @@ _CLASSIFIER = [{"kind": "flatten"}, {"kind": "fc", "out_features": 4}]
      {"kind": "frpc_conv", "out_channels": 3, "kernel": 3, "pad": 1,
       "rotate_fraction": 0.5, "flip_fraction": 0.5}] + _CLASSIFIER,
     _CLASSIFIER + [{"kind": "dropout"}],
+    [{"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
+     {"kind": "relu"},
+     {"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 2147483648}]
+    + _CLASSIFIER,
+    [{"kind": "flatten"},
+     {"kind": "relu"},
+     {"kind": "fc", "out_features": 2**40},
+     {"kind": "fc", "out_features": 4}],
 ], ids=["pool_window_over_input", "conv_kernel_over_padded_input",
-        "frpc_selections_over_filters", "dropout_without_later_weighted_layer"])
+        "frpc_selections_over_filters", "dropout_without_later_weighted_layer",
+        "conv_output_over_cap", "fc_weights_over_cap"])
 def test_train_geometry_error_exits_before_reading_data(tmp_path, layers):
     # the dataset files do not exist: reading them first would exit 3
     cfg_path, _ = _config(tmp_path, network={
@@ -347,13 +356,25 @@ def _dropout_without_later_weighted_layer(header):
     header["layers"].append({"kind": "dropout"})
 
 
+def _frpc_weights_over_cap(header):
+    # 4 filters of 3x3 over 2**31 input channels would take 288 GiB
+    header["layers"].insert(0, {"kind": "frpc_conv", "out_channels": 4, "kernel": 3,
+                                "pad": 1})
+    header["input_shape"] = [2147483648, 28, 28]
+
+
+def _extra_not_object(header):
+    header["extra"] = "x"
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_input_shape, _negative_tensor_shape, _unknown_layer_kind,
     _oversized_tensor_shape, _inference_flag, _frpc_selections_over_filters,
-    _dropout_without_later_weighted_layer],
+    _dropout_without_later_weighted_layer, _frpc_weights_over_cap, _extra_not_object],
     ids=["no_input_shape", "negative_tensor_shape", "unknown_layer_kind",
          "oversized_tensor_shape", "inference_flag", "frpc_selections_over_filters",
-         "dropout_without_later_weighted_layer"])
+         "dropout_without_later_weighted_layer", "frpc_weights_over_cap",
+         "extra_not_object"])
 def test_eval_bad_checkpoint_header_exit_code(overfit_run, tmp_path, mutate):
     ckpt, images, labels = overfit_run
     bad = _tampered(ckpt, tmp_path, mutate)
@@ -401,10 +422,12 @@ def _empty_selection_on_conv(header):
     _selection({"rotate": [-1], "flip_axes": {}}),
     _selection({"rotate": [0], "flip_axes": {}}),
     _selection({"rotate": [0, 1], "flip_axes": {"2": "left_right", "3": "up_down"}}),
-    _empty_selection_on_conv],
+    _empty_selection_on_conv,
+    # the fixture's seed rotates filters [2, 3]
+    _selection({"rotate": [0, 1], "flip_axes": {}})],
     ids=["layer_out_of_range", "rotate_index_99", "fc_layer", "not_an_object",
          "duplicate_rotate", "negative_rotate", "rotate_count", "flip_on_rpc",
-         "conv_layer"])
+         "conv_layer", "other_draw"])
 def test_eval_bad_selection_exit_code(rpc_checkpoint, tmp_path, mutate):
     ckpt, images, labels = rpc_checkpoint
     bad = _tampered(ckpt, tmp_path, mutate)
