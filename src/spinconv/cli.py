@@ -135,11 +135,11 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     from . import data, evaluation
 
+    angles = evaluation.sweep_angles(args.angles)
     net, meta = _load_inference_net(args.checkpoint)
     ds = data.preprocess(data.load_idx(args.images, args.labels),
                          meta["mean_image"])
     _check_labels(ds.labels, net.spec.input_shape, net.spec.layers, args.labels)
-    angles = evaluation.sweep_angles(args.angles)
     report = evaluation.rotation_sweep(net, ds, angles, batch_size=args.batch_size)
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_csv())

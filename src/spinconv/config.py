@@ -218,9 +218,16 @@ def network_shapes(input_shape, layers, where: str) -> list:
 # Run document
 # ---------------------------------------------------------------------------
 
+# the most images per class synthetic_shapes may generate: 2**14 each of its
+# 4 classes is 65,536 28x28 float32 images, 206 MB
+MAX_SHAPES_PER_CLASS = 2 ** 14
+
 DATASET_KINDS = {
     "idx": {"images": (REQUIRED, _PATH), "labels": (REQUIRED, _PATH)},
-    "synthetic_shapes": {"n_per_class": (REQUIRED, _COUNT), "seed": (REQUIRED, _SEED)},
+    "synthetic_shapes": {
+        "n_per_class": (REQUIRED, (f"an integer in [1, {MAX_SHAPES_PER_CLASS}]",
+                                   lambda v: _is_int(v) and 1 <= v <= MAX_SHAPES_PER_CLASS)),
+        "seed": (REQUIRED, _SEED)},
 }
 
 SCHEDULE_FIELDS = {

@@ -70,8 +70,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         if f.read(1):
             raise FormatError(f"trailing bytes after {n_labels} labels in {labels_path}")
     if n != n_labels:
-        raise ConsistencyError(f"{n} images but {n_labels} labels "
-                               f"({images_path}, {labels_path})")
+        raise FormatError(f"{n} images but {n_labels} labels "
+                          f"({images_path}, {labels_path})")
     if n == 0:
         raise InputError(f"no images in {images_path}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)

@@ -10,10 +10,14 @@ from .errors import InputError
 from .tensor_core import softmax
 
 
+# the most angles a sweep may evaluate: 0.1-degree steps
+MAX_SWEEP_ANGLES = 3600
+
+
 def sweep_angles(n: int):
-    """n angles uniformly spaced over [0, 360)."""
-    if n < 1:
-        raise InputError(f"need at least one sweep angle, got {n}")
+    """n angles uniformly spaced over [0, 360), 1 <= n <= MAX_SWEEP_ANGLES."""
+    if not 1 <= n <= MAX_SWEEP_ANGLES:
+        raise InputError(f"sweep angle count must be in [1, {MAX_SWEEP_ANGLES}], got {n}")
     return [360.0 * i / n for i in range(n)]
 
 

@@ -199,10 +199,10 @@ class _OrientedConv(Layer):
     maximum or, where a NaN occurs, the first NaN, as np.argmax picks) per
     position as int8 in `cache["rot_win"]` [N, rotated filters, H', W'] and
     `cache["flip_win"]` [N, flipped filters, H', W'] (None without that
-    bank); `infer` skips it. The variants are the weights times the
-    `kernel_transforms.bank_maps` matrices; the backward routes each
-    gradient only to its winning variant and pulls the kernel gradients
-    back through the transposed maps.
+    bank); `infer` skips it. The variants are the weights gathered through
+    the `kernel_transforms.bank_index` cell permutations; the backward
+    routes each gradient only to its winning variant and pulls the kernel
+    gradients back through the inverse permutations.
 
     Ties are decided on the computed responses. Identical expanded kernel
     rows need not come out of the float64 GEMM bit-identical, so in float64
@@ -237,9 +237,9 @@ class _OrientedConv(Layer):
                           for i, f in enumerate(flip_order)}
         self.flip_set = np.array(sorted(self.flip_axes), dtype=int)
         flip_axis = np.array([self.flip_axes[int(f)] for f in self.flip_set])
-        # (bank maps, filters, winner-map key, the filters' rows in that map,
-        # first expanded row): variant s >= 1 of a group's m filters owns the
-        # expanded rows first + (s-1)*m .. first + s*m
+        # (bank index, its inverse permutations, filters, winner-map key, the
+        # filters' rows in that map, first expanded row): variant s >= 1 of a
+        # group's m filters owns the expanded rows first + (s-1)*m .. first + s*m
         self._groups, row = [], out_channels
         for mode, filters, key, pooled in (
                 ("rotate8", self.rotate_set, "rot_win", self.rotate_set),
@@ -248,10 +248,10 @@ class _OrientedConv(Layer):
                 ("flip_ud", self.flip_set[flip_axis == "up_down"], "flip_win",
                  self.flip_set)):
             if filters.size:
-                maps = kt.bank_maps(mode, kernel)
-                self._groups.append((maps, filters, key,
+                index = kt.bank_index(mode, kernel)
+                self._groups.append((index, np.argsort(index, axis=1), filters, key,
                                      np.searchsorted(pooled, filters), row))
-                row += (len(maps) - 1) * filters.size
+                row += (len(index) - 1) * filters.size
 
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
@@ -264,16 +264,16 @@ class _OrientedConv(Layer):
         """(pooled output, winner maps keyed like the cache, expanded conv
         params); the winner maps stay None unless `winners`."""
         o, c, k, _ = self.weights.shape
-        # each group's [m*C, k*k] weights times its transposed maps but the
-        # identity, in float64: [S-1, m*C, k*k], so variant s of filter i is
-        # row (s-1)*m + i of the group
+        # each group's [m*C, k*k] weights gathered through its index rows but
+        # the identity, variant-major: [S-1, m*C, k*k], so variant s of
+        # filter i is row (s-1)*m + i of the group
         params = ConvParams(
             np.concatenate([self.weights] + [
-                np.matmul(self.weights[f].reshape(-1, k * k), maps[1:].transpose(0, 2, 1))
-                .astype(self.weights.dtype, copy=False).reshape(-1, c, k, k)
-                for maps, f, *_ in self._groups]),
-            np.concatenate([self.bias] + [np.tile(self.bias[f], len(maps) - 1)
-                                          for maps, f, *_ in self._groups]),
+                self.weights[f].reshape(-1, k * k)[:, index[1:]].swapaxes(0, 1)
+                .reshape(-1, c, k, k)
+                for index, _, f, *_ in self._groups]),
+            np.concatenate([self.bias] + [np.tile(self.bias[f], len(index) - 1)
+                                          for index, _, f, *_ in self._groups]),
             self.stride, self.pad)
         y = conv2d_forward(x, params)
         n, _, h, w = y.shape
@@ -283,11 +283,11 @@ class _OrientedConv(Layer):
                 if winners and pooled.size else None
                 for key, pooled in (("rot_win", self.rotate_set),
                                     ("flip_win", self.flip_set))}
-        for maps, f, key, pos, row in self._groups:
+        for index, _, f, key, pos, row in self._groups:
             m = f.size
             best, win = _first_max(
                 [out[:, f]] + [y[:, row + s * m:row + (s + 1) * m]
-                               for s in range(len(maps) - 1)], winners)
+                               for s in range(len(index) - 1)], winners)
             out[:, f] = best
             if win is not None:
                 wins[key][:, pos] = win
@@ -315,22 +315,23 @@ class _OrientedConv(Layer):
             n, _, h, w = grad_out.shape
             g = np.zeros((n, params.out_channels, h, w), dtype=grad_out.dtype)
             g[:, :o] = grad_out
-        for maps, f, key, pos, row in self._groups:
+        for index, _, f, key, pos, row in self._groups:
             m, g_f, win = f.size, grad_out[:, f], cache[key][:, pos]
-            for s in range(1, len(maps)):
+            for s in range(1, len(index)):
                 np.copyto(g[:, row + (s - 1) * m:row + s * m], g_f, where=win == s)
             g_f[win != 0] = 0
             g[:, f] = g_f
         gx, gw_exp, gb_exp = conv2d_backward(g, cache["x"], params)
 
         gw, gb = gw_exp[:o].copy(), gb_exp[:o].copy()
-        for maps, f, _, _, row in self._groups:
-            s, m, kk = len(maps), f.size, maps.shape[-1]
+        for index, inverse, f, _, _, row in self._groups:
+            s, m, kk = len(index), f.size, index.shape[-1]
             rows = slice(row, row + (s - 1) * m)
-            # [S, m*C, k*k] variant gradients times the maps, cast, then
-            # summed over the variants in variant order
-            pulled = np.matmul(np.concatenate((gw_exp[f].reshape(1, -1, kk),
-                                               gw_exp[rows].reshape(s - 1, -1, kk))), maps)
+            # [S, m*C, k*k] variant gradients, each through its inverse
+            # permutation, cast, then summed over the variants in variant order
+            pulled = np.take_along_axis(np.concatenate((gw_exp[f].reshape(1, -1, kk),
+                                                        gw_exp[rows].reshape(s - 1, -1, kk))),
+                                        inverse[:, None], axis=2)
             pulled = pulled.astype(gw.dtype, copy=False)
             gw[f] = pulled.sum(axis=0).reshape(m, *gw.shape[1:])
             # summed as [filter, variant] rows

@@ -4,7 +4,10 @@ gradcheck command.
 Everything here favors obviousness over speed: explicit sliding-window
 loops, per-coordinate central differences, exhaustive mask enumeration.
 None of it shares layout tricks with the main path; comparisons call only
-the public forward/backward entry points of the modules under test.
+the public forward/backward entry points of the modules under test. The
+orientation banks are rebuilt here cell by cell, walking each value along
+its square ring, without the layers' `kernel_transforms.bank_index` tables,
+so every comparison against the oracle checks those tables too.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import math
 
 import numpy as np
 
-from . import kernel_transforms as kt
 from .errors import ConfigError, ConsistencyError, InputError
 from .layers import (ConvLayer, DropoutLayer, FcLayer, MaxPoolLayer, Network,
                      NetworkSpec, PReluLayer, RpcConvLayer, FrpcConvLayer)
@@ -92,16 +94,59 @@ def tie_break(responses: np.ndarray) -> int:
     return int(np.argmax(responses))
 
 
+def _ring_successor(i, j, c):
+    """The next cell clockwise after (i, j) on its square ring around the
+    center (c, c); the ring runs right along its top edge, down its right,
+    left along its bottom and up its left."""
+    r = max(abs(i - c), abs(j - c))
+    if i == c - r and j < c + r:
+        return i, j + 1
+    if j == c + r and i < c + r:
+        return i + 1, j
+    if i == c + r and j > c - r:
+        return i, j - 1
+    return i - 1, j
+
+
+def rotate_45(kernel: np.ndarray) -> np.ndarray:
+    """One clockwise 45-degree turn of a [..., k, k] kernel (k odd): the
+    value in each cell of ring r walks r cells along that ring, one cell at
+    a time; the center stays."""
+    k = kernel.shape[-1]
+    c = k // 2
+    out = np.empty_like(kernel)
+    for i in range(k):
+        for j in range(k):
+            ti, tj = i, j
+            for _ in range(max(abs(i - c), abs(j - c))):
+                ti, tj = _ring_successor(ti, tj, c)
+            out[..., ti, tj] = kernel[..., i, j]
+    return out
+
+
+def orientation_variants(kernel: np.ndarray, mode: str) -> list:
+    """Every variant of a [..., k, k] kernel under a bank mode, variant 0
+    the kernel itself: rotate8 gives 8 turns in 45-degree steps, flip_lr
+    and flip_ud the kernel and its `np.flip` mirror."""
+    if mode == "rotate8":
+        out = [kernel.copy()]
+        for _ in range(7):
+            out.append(rotate_45(out[-1]))
+        return out
+    axis = {"flip_lr": -1, "flip_ud": -2}[mode]
+    return [kernel.copy(), np.flip(kernel, axis).copy()]
+
+
 def oriented_banks(layer):
-    """(filter index, build_orientation_bank variants) per pooled filter of
-    an rpc/frpc layer, rebuilt from its current weights: rotated filters
-    first, then flipped ones, each in filter index order."""
+    """(filter index, orientation_variants) per pooled filter of an rpc/frpc
+    layer, rebuilt from its current weights: rotated filters first, then
+    flipped ones, each in filter index order."""
     out = []
     for f in layer.rotate_set:
-        out.append((int(f), kt.build_orientation_bank(layer.weights[f], "rotate8")))
+        out.append((int(f), orientation_variants(layer.weights[f], "rotate8")))
     for f in layer.flip_set:
         mode = "flip_lr" if layer.flip_axes[int(f)] == "left_right" else "flip_ud"
-        out.append((int(f), kt.build_orientation_bank(layer.weights[f], mode)))
+        out.append((int(f), orientation_variants(layer.weights[f], mode)))
     return out
 
 

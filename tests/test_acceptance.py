@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spinconv import cli, data, evaluation, oracle
-from spinconv.kernel_transforms import flip_kernel, rotate_kernel_45_ring
+from spinconv.kernel_transforms import bank_index
 from spinconv.layers import (ConvLayer, DropoutLayer, FrpcConvLayer,
                              NetworkSpec, RpcConvLayer, sdropout_forward)
 from spinconv.training import (LrSchedule, OptimizerState, backward_training,
@@ -93,30 +93,38 @@ def test_c03_gradient_suite():
 
 
 def test_c04_group_laws():
+    # the banks the layers gather through, at every kernel size they test
     t0 = time.perf_counter()
     rng = np.random.default_rng(41)
-    k3 = rng.standard_normal((3, 3)).astype(np.float32)
-    k5 = rng.standard_normal((5, 5)).astype(np.float32)
+    ok = True
 
-    ring = k3.copy()
-    for _ in range(8):
-        ring = rotate_kernel_45_ring(ring, 1)
-    ok = np.array_equal(ring, k3)
+    def variant(kern, mode, s):
+        k = kern.shape[-1]
+        return kern.ravel()[bank_index(mode, k)[s]].reshape(k, k)
 
-    quarter = k5.copy()
-    for _ in range(4):
-        quarter = np.rot90(quarter, -1, axes=(-2, -1))
-    ok = ok and np.array_equal(quarter, k5)
+    for k in (3, 5, 7):
+        kernel = rng.standard_normal((k, k)).astype(np.float32)
+        ring = kernel
+        for _ in range(8):
+            ring = variant(ring, "rotate8", 1)
+        ok = ok and np.array_equal(ring, kernel)
 
-    two_steps = rotate_kernel_45_ring(rotate_kernel_45_ring(k3, 1), 1)
-    ok = ok and np.array_equal(two_steps, np.rot90(k3, -1, axes=(-2, -1)))
+        quarter = kernel
+        for _ in range(4):
+            quarter = variant(quarter, "rotate8", 2)
+        ok = ok and np.array_equal(quarter, kernel)
 
-    for axis in ("left_right", "up_down"):
-        ok = ok and np.array_equal(flip_kernel(flip_kernel(k3, axis), axis), k3)
-        ok = ok and np.array_equal(flip_kernel(flip_kernel(k5, axis), axis), k5)
+        two_steps = variant(variant(kernel, "rotate8", 1), "rotate8", 1)
+        ok = ok and np.array_equal(two_steps, np.rot90(kernel, -1, axes=(-2, -1)))
+
+        for mode, axis in (("flip_lr", -1), ("flip_ud", -2)):
+            flipped = variant(kernel, mode, 1)
+            ok = ok and np.array_equal(flipped, np.flip(kernel, axis))
+            ok = ok and np.array_equal(variant(flipped, mode, 1), kernel)
 
     _verdict(4, "group-laws", ok,
-             "ring order 8, quarter order 4, ring^2 == quarter, flips involute",
+             "k = 3, 5, 7: ring order 8, quarter order 4, ring^2 == quarter, "
+             "flips involute",
              time.perf_counter() - t0, 1.0)
 
 

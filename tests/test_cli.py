@@ -228,6 +228,31 @@ def test_train_run_field_error_exits_before_reading_data(tmp_path, overrides, fi
     assert field in stderr
 
 
+def test_train_synthetic_size_over_cap_exit_code(tmp_path):
+    # refused by the config table before any image is generated
+    cfg_path, _ = _config(tmp_path, dataset={"kind": "synthetic_shapes",
+                                             "n_per_class": 2**40, "seed": 1})
+    stderr = _assert_config_error_exit("train", "--config", cfg_path)
+    assert "config.dataset.n_per_class" in stderr
+
+
+def _write_count_mismatch_idx(tmp_path):
+    """An images file that declares 2 images and a labels file that declares
+    3 labels, each well formed on its own."""
+    ip, lp = tmp_path / "two-images.idx", tmp_path / "three-labels.idx"
+    ip.write_bytes(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, 2, 28, 28) + bytes(2 * 784))
+    lp.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 3) + bytes(3))
+    return str(ip), str(lp)
+
+
+def test_train_idx_count_mismatch_exit_code(tmp_path):
+    images, labels = _write_count_mismatch_idx(tmp_path)
+    cfg_path, _ = _config(tmp_path, dataset={"kind": "idx", "images": images,
+                                             "labels": labels})
+    err = _assert_config_error_exit("train", "--config", cfg_path, code=3)
+    assert "2 images but 3 labels" in err
+
+
 def test_cli_and_config_import_without_numpy():
     # the CLI pins BLAS threads in the environment before numpy first loads
     code = "import sys, spinconv.cli, spinconv.config; sys.exit('numpy' in sys.modules)"
@@ -515,6 +540,27 @@ def test_empty_idx_exit_code(overfit_run, tmp_path, command, extra):
         extra = extra + ["--out", str(tmp_path / "s.csv")]
     _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
                               "--labels", labels, *extra)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("eval", []), ("sweep", ["--angles", "2"])], ids=["eval", "sweep"])
+def test_idx_count_mismatch_exit_code(overfit_run, tmp_path, command, extra):
+    ckpt, _, _ = overfit_run
+    images, labels = _write_count_mismatch_idx(tmp_path)
+    if command == "sweep":
+        extra = extra + ["--out", str(tmp_path / "s.csv")]
+    _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
+                              "--labels", labels, *extra, code=3)
+
+
+def test_sweep_angles_over_cap_exits_before_reading_files(tmp_path, capsys):
+    # none of the files exists: reading any of them first would exit 3
+    from spinconv.evaluation import MAX_SWEEP_ANGLES
+    missing = [str(tmp_path / name) for name in ("c.bin", "i.idx", "l.idx")]
+    assert cli.main(["sweep", "--checkpoint", missing[0], "--images", missing[1],
+                     "--labels", missing[2], "--angles", str(MAX_SWEEP_ANGLES + 1),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+    assert "angle" in capsys.readouterr().err
 
 
 def test_sweep_single_angle_matches_eval(overfit_run, tmp_path, capsys):

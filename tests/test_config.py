@@ -184,6 +184,14 @@ def test_dataset_synthetic_fields():
     assert rc.dataset["n_per_class"] == 10
     with pytest.raises(ConfigError, match="n_per_class"):
         cfg.parse_config(_doc(dataset={"kind": "synthetic_shapes", "seed": 0}))
+    # the generator's size cap, refused before any image is made
+    top = cfg.MAX_SHAPES_PER_CLASS
+    rc = cfg.parse_config(_doc(dataset={"kind": "synthetic_shapes",
+                                        "n_per_class": top, "seed": 0}))
+    assert rc.dataset["n_per_class"] == top
+    with pytest.raises(ConfigError, match="config.dataset.n_per_class"):
+        cfg.parse_config(_doc(dataset={"kind": "synthetic_shapes",
+                                       "n_per_class": top + 1, "seed": 0}))
 
 
 def test_dataset_unknown_kind():

@@ -5,9 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinconv import data
-from spinconv.errors import ConsistencyError, DimensionError, FormatError
+from spinconv.errors import ConsistencyError, DimensionError, FormatError, InputError
 
 MNIST_IMAGES = "data/train-images-idx3-ubyte"
 MNIST_LABELS = "data/train-labels-idx1-ubyte"
@@ -42,7 +44,7 @@ def test_load_idx_header_example(tmp_path):
 
 def test_load_idx_count_mismatch(tmp_path):
     ip, lp = _write_pair(tmp_path, [0] * 8, [1, 2, 3], n=2, n_labels=3)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(FormatError):
         data.load_idx(ip, lp)
 
 
@@ -65,6 +67,42 @@ def test_load_idx_trailing_bytes(tmp_path):
     ip, lp = _write_pair(tmp_path, [0, 1, 2, 3, 99], [0])
     with pytest.raises(FormatError):
         data.load_idx(ip, lp)
+
+
+# the header fields of a valid pair, images then labels: magic, count, rows,
+# cols; magic, count
+_VALID_IDX_HEADER = (data.IDX_IMAGES_MAGIC, 2, 3, 4, data.IDX_LABELS_MAGIC, 2)
+
+
+@pytest.fixture(scope="module")
+def idx_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx")
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.integers(0, len(_VALID_IDX_HEADER) - 1),
+       value=st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1)),
+       fit=st.booleans())
+@example(field=5, value=3, fit=True)
+def test_load_idx_mutated_header_loads_or_is_refused(idx_dir, field, value, fit):
+    """One header field of a valid pair takes any 32-bit value. With `fit`
+    the payloads follow the header where it declares at most 4 KiB, so the
+    two files can each be well formed and still disagree. The pair loads as
+    declared, or is refused as a malformed, short or empty file."""
+    header = list(_VALID_IDX_HEADER)
+    header[field] = value
+    images_magic, n, rows, cols, labels_magic, n_labels = header
+    pixels = n * rows * cols if fit and n * rows * cols <= 4096 else 24
+    labels = n_labels if fit and n_labels <= 4096 else 2
+    ip, lp = _write_pair(idx_dir, [7] * pixels, [1] * labels, n=n, rows=rows,
+                         cols=cols, n_labels=n_labels, images_magic=images_magic,
+                         labels_magic=labels_magic)
+    try:
+        ds = data.load_idx(ip, lp)
+    except (FormatError, OSError, InputError):
+        return
+    assert ds.images.shape == (n, 1, rows, cols)
+    assert ds.labels.shape == (n_labels,)
 
 
 def test_idx_round_trip(tmp_path):

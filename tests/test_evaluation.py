@@ -134,6 +134,9 @@ def test_sweep_angles_spacing():
     assert all(a < 360.0 for a in angles)
     with pytest.raises(InputError):
         ev.sweep_angles(0)
+    assert len(ev.sweep_angles(ev.MAX_SWEEP_ANGLES)) == ev.MAX_SWEEP_ANGLES
+    with pytest.raises(InputError):
+        ev.sweep_angles(ev.MAX_SWEEP_ANGLES + 1)
 
 
 def test_sweep_angle_zero_matches_plain_evaluation(trained):

@@ -298,7 +298,6 @@ def test_frpc_flip_symmetric_filter_equals_plain_conv():
 
 
 def test_frpc_matches_two_way_max():
-    from spinconv.kernel_transforms import flip_kernel
     layer = FrpcConvLayer(1, 1, 3, rotate_fraction=0.0, flip_fraction=1.0,
                           rng=np.random.default_rng(21), dtype=np.float64)
     layer.weights[...] = np.random.default_rng(22).normal(size=layer.weights.shape)
@@ -307,7 +306,7 @@ def test_frpc_matches_two_way_max():
     x = np.random.default_rng(23).normal(size=(2, 1, 6, 6))
     y = layer.forward(x, {})
     a = tc.conv2d_forward(x, tc.ConvParams(weights=layer.weights, bias=layer.bias))
-    flipped = flip_kernel(layer.weights, ax)
+    flipped = np.flip(layer.weights, -1 if ax == "left_right" else -2).copy()
     b = tc.conv2d_forward(x, tc.ConvParams(weights=flipped, bias=layer.bias))
     assert np.allclose(y, np.maximum(a, b), atol=1e-12)
 
@@ -486,8 +485,65 @@ def test_oriented_batches_around_chunk_size(name, offset):
 
 
 # ---------------------------------------------------------------------------
-# Kernel 5: the rotate8 bank resamples bilinearly
+# Kernels 3, 5 and 7: the rotate8 bank is an exact group action
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_turning_stored_kernels_shifts_winners(k):
+    # turning each rotated filter's kernel one 45-degree step (by the oracle's
+    # ring walk) relabels its bank: variant s of the turned kernel is variant
+    # s + 1 of the old one, so every winner w becomes (w - 1) mod 8 and the
+    # pooled responses stay put
+    layer = RpcConvLayer(4, 8, k, pad=k // 2, rotate_fraction=0.5,
+                         rng=np.random.default_rng(60), dtype=np.float64)
+    rng = np.random.default_rng(61)
+    layer.weights[...] = rng.normal(size=layer.weights.shape)
+    x = rng.normal(size=(3, 4, 12, 12))
+    before, after = {}, {}
+    y = layer.forward(x, before)
+    r = layer.rotate_set
+    layer.weights[r] = oracle.rotate_45(layer.weights[r])
+    y_turned = layer.forward(x, after)
+    assert np.array_equal(after["rot_win"], (before["rot_win"] - 1) % 8)
+    assert np.array_equal(y_turned[:, r], y[:, r])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("name", ["rpc", "frpc"])
+def test_winners_follow_input_symmetries(name, k, dtype):
+    layer = _oriented(name, in_ch=4, out_ch=8, seed=62, dtype=dtype, kernel=k)
+    x = np.random.default_rng(63).normal(size=(2, 4, 12, 12)).astype(dtype)
+    base = {}
+    y = layer.forward(x, base)
+    # float32 rounds the float64 GEMM's last-bit differences away
+    tol = 0.0 if dtype == np.float32 else 1e-13 * np.abs(y).max()
+
+    # a clockwise quarter turn of the input moves each rotated filter's
+    # winner two steps on, at the turned position
+    def quarter(a):
+        return np.rot90(a, -1, axes=(-2, -1))
+
+    turned = {}
+    y_turned = layer.forward(quarter(x).copy(), turned)
+    r = layer.rotate_set
+    assert np.array_equal(turned["rot_win"], (quarter(base["rot_win"]) + 2) % 8)
+    assert np.abs(y_turned[:, r] - quarter(y[:, r])).max() <= tol
+
+    # a mirror of the input swaps the two variants of every filter that
+    # flips along the same axis, at the mirrored position
+    for axis, flip_axis in ((-1, "left_right"), (-2, "up_down")):
+        pos = [i for i, f in enumerate(layer.flip_set)
+               if layer.flip_axes[int(f)] == flip_axis]
+        if not pos:
+            continue
+        mirrored = {}
+        y_mirrored = layer.forward(np.flip(x, axis).copy(), mirrored)
+        assert np.array_equal(mirrored["flip_win"][:, pos],
+                              1 - np.flip(base["flip_win"][:, pos], axis))
+        f = layer.flip_set[pos]
+        assert np.abs(y_mirrored[:, f] - np.flip(y[:, f], axis)).max() <= tol
+
 
 @pytest.mark.parametrize("name", ["rpc", "frpc"])
 def test_oriented_kernel5_matches_reference(name):
