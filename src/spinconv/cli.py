@@ -71,17 +71,21 @@ def cmd_train(args) -> int:
     schedule = training.LrSchedule(**cfg.schedule)
 
     images = data.center_crop(train_ds.images, cfg.input_shape[1:])
-    rows = training.fit(net, images, train_ds.labels, state, cfg.epochs,
-                        schedule, val_images, val_labels)
-
     os.makedirs(cfg.output_dir, exist_ok=True)
     config_echo = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
     metrics_path = os.path.join(cfg.output_dir, "metrics.csv")
+    # rows stream out as epochs finish, so an aborted run keeps the ones it has
     with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# seed={cfg.seed} config={config_echo}\n")
         f.write("epoch,split,loss,top1\n")
-        for r in rows:
+        f.flush()
+
+        def write_row(r):
             f.write(f"{r['epoch']},{r['split']},{r['loss']:.6f},{r['top1']:.6f}\n")
+            f.flush()
+
+        rows = training.fit(net, images, train_ds.labels, state, cfg.epochs,
+                            schedule, val_images, val_labels, on_row=write_row)
 
     ckpt_path = os.path.join(cfg.output_dir, "checkpoint.bin")
     checkpoint.save_checkpoint(net, ckpt_path, mean_image=train_ds.mean_image,

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernel_transforms as kt
 from .config import selection_size
 from .errors import ConfigError, ConsistencyError, DimensionError, InputError
-from .tensor_core import (ConvParams, _first_max, conv2d_backward,
+from .tensor_core import (ConvParams, _output_size, conv2d_backward,
                           conv2d_forward, fc_backward, fc_forward,
                           maxpool2d_backward, maxpool2d_forward,
                           prelu_backward, prelu_forward, relu_backward,
@@ -67,6 +67,9 @@ class Layer:
         return self.forward(x, {})
 
     def backward(self, grad_out, cache: dict):
+        """The input gradient. Layers with parameters also take
+        `input_grad=False`, which only accumulates their gradients and
+        returns None."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -192,17 +195,19 @@ class _OrientedConv(Layer):
     Rows 0..O-1 of the expanded kernel bank are the stored kernels, variant
     0 of every filter; each pooled group (rotate8, flip_lr, flip_ud) appends
     its other S-1 variants, variant-major, so each variant of a group is one
-    contiguous channel range of the conv output. `forward` and `infer` make
-    one conv call over the whole batch, keep its first O channels, and
-    reduce each pooled filter's variants with `tensor_core._first_max`, the
-    rule max-pooling uses. `forward` also keeps the winner (the first
-    maximum or, where a NaN occurs, the first NaN, as np.argmax picks) per
-    position as int8 in `cache["rot_win"]` [N, rotated filters, H', W'] and
-    `cache["flip_win"]` [N, flipped filters, H', W'] (None without that
-    bank); `infer` skips it. The variants are the weights gathered through
-    the `kernel_transforms.bank_index` cell permutations; the backward
-    routes each gradient only to its winning variant and pulls the kernel
-    gradients back through the inverse permutations.
+    contiguous row slab of the conv product. The layer owns only that
+    expansion, the group layout and the pullback: `forward`, `infer` and
+    `backward` hand the groups to one `tensor_core` conv call over the whole
+    batch, whose chunk loop pools each pooled filter's variants with the
+    rule max-pooling uses and routes its gradient. `forward` also keeps the
+    winner (the first maximum or, where a NaN occurs, the first NaN, as
+    np.argmax picks) per position as int8 in `cache["rot_win"]` [N, rotated
+    filters, H', W'] and `cache["flip_win"]` [N, flipped filters, H', W']
+    (None without that bank); `infer` skips it. The variants are the
+    weights gathered through the `kernel_transforms.bank_index` cell
+    permutations; the backward routes each gradient only to its winning
+    variant and pulls the kernel gradients back through the inverse
+    permutations.
 
     Ties are decided on the computed responses. Identical expanded kernel
     rows need not come out of the float64 GEMM bit-identical, so in float64
@@ -260,10 +265,16 @@ class _OrientedConv(Layer):
         return ConvParams(self.weights, self.bias, self.stride, self.pad)
 
     # -- forward / backward ----------------------------------------------
+    def _pools(self, wins):
+        """The groups as `tensor_core.conv2d_forward` pools, with the winner
+        maps of `wins` (keyed like the cache)."""
+        return [(f, row, len(index), wins[key], pos)
+                for index, _, f, key, pos, row in self._groups]
+
     def _pooled(self, x, winners: bool):
         """(pooled output, winner maps keyed like the cache, expanded conv
         params); the winner maps stay None unless `winners`."""
-        o, c, k, _ = self.weights.shape
+        _, c, k, _ = self.weights.shape
         # each group's [m*C, k*k] weights gathered through its index rows but
         # the identity, variant-major: [S-1, m*C, k*k], so variant s of
         # filter i is row (s-1)*m + i of the group
@@ -275,23 +286,12 @@ class _OrientedConv(Layer):
             np.concatenate([self.bias] + [np.tile(self.bias[f], len(index) - 1)
                                           for index, _, f, *_ in self._groups]),
             self.stride, self.pad)
-        y = conv2d_forward(x, params)
-        n, _, h, w = y.shape
-        # without a pooled filter this is the conv output itself
-        out = np.ascontiguousarray(y[:, :o])
-        wins = {key: np.empty((n, pooled.size, h, w), np.int8)
+        h, w = _output_size(x, params)
+        wins = {key: np.empty((len(x), pooled.size, h, w), np.int8)
                 if winners and pooled.size else None
                 for key, pooled in (("rot_win", self.rotate_set),
                                     ("flip_win", self.flip_set))}
-        for index, _, f, key, pos, row in self._groups:
-            m = f.size
-            best, win = _first_max(
-                [out[:, f]] + [y[:, row + s * m:row + (s + 1) * m]
-                               for s in range(len(index) - 1)], winners)
-            out[:, f] = best
-            if win is not None:
-                wins[key][:, pos] = win
-        return out, wins, params
+        return conv2d_forward(x, params, self._pools(wins)), wins, params
 
     def forward(self, x, cache):
         out, wins, params = self._pooled(x, winners=True)
@@ -301,28 +301,17 @@ class _OrientedConv(Layer):
     def infer(self, x):
         return self._pooled(x, winners=False)[0]
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, input_grad=True):
         if "params" not in cache:
             raise ConsistencyError("conv backward called without a matching forward")
         if grad_out.shape != cache["out_shape"]:
             raise ConsistencyError(
                 f"grad_out shape {grad_out.shape} does not match cached forward "
                 f"output {cache['out_shape']}; stale cache?")
-        params, o = cache["params"], self.weights.shape[0]
-        g = grad_out
-        if self._groups:
-            # each filter's own kernel takes rows 0..O-1, the other variants follow
-            n, _, h, w = grad_out.shape
-            g = np.zeros((n, params.out_channels, h, w), dtype=grad_out.dtype)
-            g[:, :o] = grad_out
-        for index, _, f, key, pos, row in self._groups:
-            m, g_f, win = f.size, grad_out[:, f], cache[key][:, pos]
-            for s in range(1, len(index)):
-                np.copyto(g[:, row + (s - 1) * m:row + s * m], g_f, where=win == s)
-            g_f[win != 0] = 0
-            g[:, f] = g_f
-        gx, gw_exp, gb_exp = conv2d_backward(g, cache["x"], params)
+        gx, gw_exp, gb_exp = conv2d_backward(grad_out, cache["x"], cache["params"],
+                                             self._pools(cache), input_grad)
 
+        o = self.weights.shape[0]
         gw, gb = gw_exp[:o].copy(), gb_exp[:o].copy()
         for index, inverse, f, _, _, row in self._groups:
             s, m, kk = len(index), f.size, index.shape[-1]
@@ -410,10 +399,10 @@ class PReluLayer(Layer):
         cache["x"] = x
         return prelu_forward(x, self.slope)
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, input_grad=True):
         gx, gs = prelu_backward(grad_out, cache["x"], self.slope)
         self._accumulate("slope", gs)
-        return gx
+        return gx if input_grad else None
 
 
 class FlattenLayer(Layer):
@@ -442,10 +431,10 @@ class FcLayer(Layer):
         cache["x"] = x
         return fc_forward(x, self.weights, self.bias)
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, input_grad=True):
         if "x" not in cache:
             raise ConsistencyError("fc backward called without a matching forward")
-        gx, gw, gb = fc_backward(grad_out, cache["x"], self.weights)
+        gx, gw, gb = fc_backward(grad_out, cache["x"], self.weights, input_grad)
         self._accumulate("weights", gw)
         self._accumulate("bias", gb)
         return gx

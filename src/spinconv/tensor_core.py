@@ -8,22 +8,29 @@ the working dtype. Passing float64 inputs therefore runs the whole kernel
 in double precision, which is what the gradient-check suite does.
 
 Convolution is cross-correlation (no kernel mirroring) with zero padding,
-lowered to a GEMM against a channel-major [C*k*k, N*H'*W'] column matrix,
-so the product comes out as [O, N, H', W'] and needs one transpose. Forward
-and backward both run over the batch _CHUNK images at a time, which bounds
-the float64 columns and products whatever the batch size; the weight and
-bias gradients are summed over the chunks in double precision. Conv and
+lowered to a GEMM against a channel-major [C*k*k, n*H'*W'] column matrix,
+so the product comes out channel-major, [O, n*H'*W']. Forward and backward
+both run over the batch _CHUNK images at a time, which bounds the float64
+columns and products whatever the batch size; the weight and bias gradients
+are summed over the chunks in double precision. Each chunk is one pipeline
+on that channel-major layout. For a bank with orientation-pooled filters
+the forward adds the bias and casts in one pass over the whole product,
+pools each group over contiguous variant row slabs, and then transposes
+only the stored rows to NCHW; a bank without pooled filters transposes as
+it adds the bias. The backward builds the chunk's float64 channel-major
+gradient straight from the stored rows' gradient and the winners. Conv and
 pool outputs and gradients are C-contiguous NCHW arrays.
 
 Max-pooling breaks ties deterministically: the first maximum in a row-major
 scan of the window wins, and a window holding NaN yields its first NaN, as
-np.argmax does. `_first_max` is that rule, and orientation pooling in
-`layers` uses it too. The pool backward scatter sums overlapping windows in
+np.argmax does. `_first_max` is that rule, and orientation pooling in the
+conv pipeline uses it too. The pool backward scatter sums overlapping windows in
 double precision as well; with non-overlapping windows it only places
 values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,14 +93,23 @@ class ConvParams:
 # ---------------------------------------------------------------------------
 
 # Images per im2col in the conv kernels: bounds the float64 column matrix
-# and the GEMM products built from it, which grow with the batch. Each
-# chunk's temporaries are deleted before the next chunk's columns are
-# built; kept alive into the next chunk they would double the peak.
+# and the GEMM products built from it, which grow with the batch. The
+# columns and the product share one float64 workspace per call, sized for
+# the first chunk and reused by every chunk, so the peak is one chunk's.
+# Fresh arrays per chunk, or two buffers per call, were handed back to the
+# system between calls by glibc's malloc and page-faulted in again on every
+# call; one workspace measured 10-20% faster on training and sweep calls.
 _CHUNK = 64
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """[C*k*k, N*H'*W'] float64 column matrix of x [N,C,H,W].
+def _front(buf: np.ndarray, shape) -> np.ndarray:
+    """The leading part of the flat buffer `buf`, as a C-contiguous array."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, buf: np.ndarray) -> np.ndarray:
+    """[C*k*k, N*H'*W'] float64 column matrix of x [N,C,H,W], written to the
+    front of the flat float64 buffer `buf`.
 
     Rows are channel-major (c, ki, kj); columns run over (n, i, j), so a
     GEMM against it yields [O, N, H', W'] directly.
@@ -111,71 +127,137 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
         writeable=False,
     )
     # a single copy gathers the windows and upcasts them
-    cols = np.ascontiguousarray(windows, dtype=np.float64)
+    cols = _front(buf, windows.shape)
+    np.copyto(cols, windows)
     return cols.reshape(c * k * k, n * h_out * w_out)
 
 
-def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Cross-correlate x [N,C,H,W] with the kernel bank, add bias."""
+def _output_size(x: np.ndarray, params: ConvParams):
+    """(H', W') of the convolution of x [N,C,H,W]; checks x against params."""
     if x.ndim != 4:
         raise DimensionError(f"conv input must be 4-d [N,C,H,W], got shape {x.shape}")
     if x.shape[1] != params.in_channels:
         raise DimensionError(
             f"input channel axis has {x.shape[1]} channels, "
             f"weights expect {params.in_channels}")
-    n, _, h, w = x.shape
-    o, k = params.out_channels, params.kernel_size
-    stride, pad = params.stride, params.pad
-    h_out = conv_output_size(h, k, stride, pad)
-    w_out = conv_output_size(w, k, stride, pad)
-    w_mat = np.asarray(params.weights.reshape(o, -1), dtype=np.float64)
-    bias = np.asarray(params.bias, dtype=np.float64)[:, None, None]
-    out = np.empty((n, o, h_out, w_out), dtype=_working_dtype(x, params.weights))
-    for a in range(0, n, _CHUNK):
-        cols = _im2col(x[a:a + _CHUNK], k, stride, pad)
-        y = (w_mat @ cols).reshape(o, -1, h_out, w_out)
-        del cols
-        np.add(y.transpose(1, 0, 2, 3), bias, out=out[a:a + _CHUNK], casting="same_kind")
-        del y
+    k, stride, pad = params.kernel_size, params.stride, params.pad
+    return (conv_output_size(x.shape[2], k, stride, pad),
+            conv_output_size(x.shape[3], k, stride, pad))
+
+
+def _stored_rows(params: ConvParams, pools) -> int:
+    # every pooled filter's variants 1..S-1 come after the stored rows
+    return params.out_channels - sum((s - 1) * len(f) for f, _, s, *_ in pools)
+
+
+def conv2d_forward(x: np.ndarray, params: ConvParams, pools=()) -> np.ndarray:
+    """Cross-correlate x [N,C,H,W] with the kernel bank, add bias.
+
+    Each entry (filters, row, variants, winners, slots) of `pools` makes the
+    ascending stored rows `filters` (m of them) pool over an orientation
+    bank of S = `variants` kernels: variant 0 is the stored row, variant
+    s >= 1 row `row` + (s-1)*m + i for filter i, after all stored rows. The
+    output then holds only the stored rows, a pooled filter's the first
+    maximum over its variants; where `winners` is an int8 [N, P, H', W']
+    array, the winning variant goes to its rows `slots`.
+    """
+    h_out, w_out = _output_size(x, params)
+    o_exp, k = params.out_channels, params.kernel_size
+    o = _stored_rows(params, pools)
+    dt = _working_dtype(x, params.weights)
+    w_mat = np.asarray(params.weights.reshape(o_exp, -1), dtype=np.float64)
+    bias = np.asarray(params.bias, dtype=np.float64)[:, None]
+    out = np.empty((len(x), o, h_out, w_out), dtype=dt)
+    width, ckk = min(len(x), _CHUNK) * h_out * w_out, w_mat.shape[1]
+    cols_buf, y_buf = np.split(np.empty((ckk + o_exp) * width), [ckk * width])
+    cast_buf = np.empty(o_exp * width, dt) if pools and dt != np.float64 else None
+    for a in range(0, len(x), _CHUNK):
+        cols = _im2col(x[a:a + _CHUNK], k, params.stride, params.pad, cols_buf)
+        y = np.matmul(w_mat, cols, out=_front(y_buf, (o_exp, cols.shape[1])))
+        if not pools:
+            np.add(y.reshape(o, -1, h_out, w_out).transpose(1, 0, 2, 3), bias[:, :, None],
+                   out=out[a:a + _CHUNK], casting="same_kind")
+            continue
+        # +bias and the cast in one pass over the channel-major product, then
+        # each group pools contiguous variant slabs and only the stored rows
+        # are transposed
+        yd = y if cast_buf is None else _front(cast_buf, y.shape)
+        np.add(y, bias, out=yd, casting="same_kind")
+        for f, row, s, winners, slots in pools:
+            m = len(f)
+            best, win = _first_max([yd[f]] + [yd[row + i * m:row + (i + 1) * m]
+                                             for i in range(s - 1)], winners is not None)
+            yd[f] = best
+            if win is not None:
+                winners[a:a + _CHUNK, slots] = \
+                    win.reshape(m, -1, h_out, w_out).transpose(1, 0, 2, 3)
+        out[a:a + _CHUNK] = yd[:o].reshape(o, -1, h_out, w_out).transpose(1, 0, 2, 3)
     return out
 
 
-def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams):
-    """Gradients of the convolution: (grad_input, grad_weights, grad_bias)."""
+def _routed(grad_out: np.ndarray, o_exp: int, pools, a: int, buf: np.ndarray) -> np.ndarray:
+    """The float64 channel-major [O_exp, n*H'*W'] gradient of the expanded
+    product for the chunk grad_out [n, O, H', W'] that starts at image `a`,
+    written to the front of `buf`: each pooled filter's gradient goes to the
+    variant that won the position."""
+    g_t = grad_out.transpose(1, 0, 2, 3)
+    g = _front(buf, (o_exp, g_t[0].size))
+    # every row is written once: the stored rows here, each group's variant
+    # rows below
+    g[:len(g_t)].reshape(g_t.shape)[...] = g_t
+    for f, row, s, winners, slots in pools:
+        m = len(f)
+        win = winners[a:a + len(grad_out), slots].transpose(1, 0, 2, 3).reshape(m, -1)
+        g_f = g[f]
+        for i in range(1, s):
+            g[row + (i - 1) * m:row + i * m] = np.where(win == i, g_f, 0.0)
+        g[f] = np.where(win == 0, g_f, 0.0)
+    return g
+
+
+def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams, pools=(),
+                    input_grad: bool = True):
+    """Gradients of the convolution: (grad_input, grad_weights, grad_bias).
+
+    With `pools`, as in `conv2d_forward`, grad_out holds the stored rows and
+    the winner maps route it; the weight and bias gradients are the whole
+    bank's. Without `input_grad`, grad_input is None and its GEMM and col2im
+    are skipped.
+    """
+    h_out, w_out = _output_size(x, params)
     n, c, h, w = x.shape
-    o, k = params.out_channels, params.kernel_size
+    o_exp, k = params.out_channels, params.kernel_size
     stride, pad = params.stride, params.pad
-    h_out = conv_output_size(h, k, stride, pad)
-    w_out = conv_output_size(w, k, stride, pad)
+    o = _stored_rows(params, pools)
     if grad_out.shape != (n, o, h_out, w_out):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, o, h_out, w_out)}")
     dt = _working_dtype(x, params.weights)
-    w_mat = np.asarray(params.weights.reshape(o, -1), dtype=np.float64)
-    grad_input = np.empty((n, c, h, w), dtype=dt)
+    w_mat = np.asarray(params.weights.reshape(o_exp, -1), dtype=np.float64)
+    grad_input = np.empty((n, c, h, w), dtype=dt) if input_grad else None
     grad_weights = np.zeros(w_mat.shape)
-    grad_bias = np.zeros(o)
+    grad_bias = np.zeros(o_exp)
+    width, ckk = min(n, _CHUNK) * h_out * w_out, w_mat.shape[1]
+    cols_buf, g_buf = np.split(np.empty((ckk + o_exp) * width), [ckk * width])
     for a in range(0, n, _CHUNK):
         x_a = x[a:a + _CHUNK]
-        cols = _im2col(x_a, k, stride, pad)
-        g = np.ascontiguousarray(grad_out[a:a + _CHUNK].transpose(1, 0, 2, 3),
-                                 dtype=np.float64).reshape(o, -1)
+        cols = _im2col(x_a, k, stride, pad, cols_buf)
+        g = _routed(grad_out[a:a + _CHUNK], o_exp, pools, a, g_buf)
         grad_bias += g.sum(axis=1)
         grad_weights += g @ cols.T
-        del cols
-        gcols = (w_mat.T @ g).reshape(c, k, k, -1, h_out, w_out)
-        del g
+        if not input_grad:
+            continue
+        # the columns are spent, so their buffer takes the column gradient
+        gcols = np.matmul(w_mat.T, g, out=cols).reshape(c, k, k, -1, h_out, w_out)
         gx_pad = np.zeros((c, len(x_a), h + 2 * pad, w + 2 * pad))
         for i in range(k):
             for j in range(k):
                 gx_pad[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] \
                     += gcols[:, i, j]
-        del gcols
         np.copyto(grad_input[a:a + _CHUNK],
                   gx_pad[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3),
                   casting="same_kind")
-        del gx_pad
     return (grad_input,
             grad_weights.reshape(params.weights.shape).astype(dt, copy=False),
             grad_bias.astype(dt, copy=False))
@@ -222,22 +304,29 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = T
     inside its H*W input plane; first occurrence in row-major window order
     wins on ties, and a window holding NaN yields NaN at its first NaN, as
     np.argmax does. With indices=False the winner scan is skipped and
-    argmax_indices is None; the output is the same.
+    argmax_indices is None; the max is then taken separably, over the
+    window's rows and then its columns, which gives the same values.
     """
     if x.ndim != 4:
         raise DimensionError(f"pool input must be 4-d [N,C,H,W], got shape {x.shape}")
     n, c, h, w = x.shape
     h_out = conv_output_size(h, window, stride, 0)
     w_out = conv_output_size(w, window, stride, 0)
+    if not indices:
+        # separable: the max over the window's rows on full-width rows, then
+        # over its columns
+        rows = _first_max([x[:, :, a:a + stride * (h_out - 1) + 1:stride]
+                           for a in range(window)], False)[0]
+        y = _first_max([rows[..., b:b + stride * (w_out - 1) + 1:stride]
+                        for b in range(window)], False)[0]
+        return (y.copy() if window == 1 else y), None
     # one strided view per window position, in row-major window order
     views = [x[:, :, a:a + stride * (h_out - 1) + 1:stride,
                b:b + stride * (w_out - 1) + 1:stride]
              for a in range(window) for b in range(window)]
-    y, local = _first_max(views, indices)
+    y, local = _first_max(views, True)
     if window == 1:
         y = y.copy()  # a lone view is a view of x
-    if not indices:
-        return y, None
     plane_offset = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
     argmax = plane_offset.take(local)
     argmax += (np.arange(h_out)[:, None] * (stride * w)
@@ -280,8 +369,10 @@ def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarr
     return y.astype(_working_dtype(x, weights), copy=False)
 
 
-def fc_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
-    """Gradients of the affine map: (grad_input, grad_weights, grad_bias)."""
+def fc_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray,
+                input_grad: bool = True):
+    """Gradients of the affine map: (grad_input, grad_weights, grad_bias);
+    grad_input is None without `input_grad`."""
     if grad_out.shape != (x.shape[0], weights.shape[0]):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match output shape "
@@ -291,6 +382,8 @@ def fc_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
     x64 = np.asarray(x, dtype=np.float64)
     grad_weights = (g.T @ x64).astype(dt, copy=False)
     grad_bias = g.sum(axis=0).astype(dt, copy=False)
+    if not input_grad:
+        return None, grad_weights, grad_bias
     del x64  # lowers the peak: the input gradient is the same size
     grad_input = (g @ np.asarray(weights, dtype=np.float64)).astype(dt, copy=False)
     return grad_input, grad_weights, grad_bias

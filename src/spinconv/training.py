@@ -171,17 +171,25 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
                            logits=act, caches=caches, ce_grad=ce_grad)
 
 
-def backward_training(branch_set: BranchSet):
+def backward_training(branch_set: BranchSet, input_grad: bool = True):
     """Backpropagate the stacked batch and accumulate parameter gradients.
 
     Each block's gradient is weighted 1/2^n, matching the loss, so
     layer.grads afterwards holds the exact gradient of the returned loss.
+    The gradient of the network input goes to `branch_set.input_grad`;
+    without `input_grad` the chain ends at the first layer with parameters,
+    which skips its own input gradient, and `input_grad` stays None.
     Returns {(layer_index, name): gradient} for inspection.
     """
     net = branch_set.net
+    last = None if input_grad else \
+        next((i for i, layer in enumerate(net.layers) if layer.params()), None)
     g = branch_set.ce_grad
-    for layer, cache in zip(reversed(net.layers), reversed(branch_set.caches)):
-        g = layer.backward(g, cache)
+    for i in reversed(range(len(net.layers))):
+        if i == last:
+            g = net.layers[i].backward(g, branch_set.caches[i], input_grad=False)
+            break
+        g = net.layers[i].backward(g, branch_set.caches[i])
     branch_set.input_grad = g
     return {(i, name): net.layers[i].grads[name]
             for i, name, _ in net.named_params()}
@@ -247,7 +255,7 @@ def train_epoch(net: Network, images: np.ndarray, labels: np.ndarray,
         loss, branches = forward_training(net, x, y)
         if not np.isfinite(loss):
             raise NumericalAbort(f"non-finite training loss {loss!r}")
-        backward_training(branches)
+        backward_training(branches, input_grad=False)
         sgd_momentum_step(net, state)
         loss_sum += loss * len(idx)
         preds = mean_branch_probabilities(branches).argmax(axis=1)
@@ -268,26 +276,33 @@ class LrSchedule:
 
 
 def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
-        schedule: LrSchedule = None, val_images=None, val_labels=None):
+        schedule: LrSchedule = None, val_images=None, val_labels=None, on_row=None):
     """Train for a number of epochs with an optional plateau schedule.
 
     Returns per-epoch metric rows as dicts with keys epoch, split, loss,
-    top1 (split is 'train' or 'val'). Validation metrics come from
+    top1 (split is 'train' or 'val'); `on_row`, when given, is called with
+    each row as soon as it is complete. Validation metrics come from
     `predict_logits` on a throwaway inference copy of the current weights,
     which center-crops the validation images to the network input.
     """
     schedule = schedule or LrSchedule(kind="fixed")
     rows, best, stall = [], float("inf"), 0
+
+    def emit(row):
+        rows.append(row)
+        if on_row is not None:
+            on_row(row)
+
     for epoch in range(1, epochs + 1):
         metrics = train_epoch(net, images, labels, state)
-        rows.append({"epoch": epoch, "split": "train",
-                     "loss": metrics["loss"], "top1": metrics["top1"]})
+        emit({"epoch": epoch, "split": "train",
+              "loss": metrics["loss"], "top1": metrics["top1"]})
         monitored = metrics["loss"]
         if val_images is not None:
             logits = predict_logits(to_inference(net), val_images, state.batch_size)
             monitored, _ = softmax_cross_entropy(logits, val_labels)
-            rows.append({"epoch": epoch, "split": "val", "loss": monitored,
-                         "top1": top_k_accuracy(logits, val_labels, 1)})
+            emit({"epoch": epoch, "split": "val", "loss": monitored,
+                  "top1": top_k_accuracy(logits, val_labels, 1)})
         if schedule.kind == "plateau":
             if monitored < best - 1e-6:
                 best, stall = monitored, 0

@@ -104,6 +104,28 @@ def test_train_is_byte_deterministic(tmp_path):
         assert (tmp_path / "run" / name).read_bytes() == blob, name
 
 
+def test_aborted_train_keeps_finished_metric_rows(tmp_path, monkeypatch, capsys):
+    from spinconv import training
+    from spinconv.errors import NumericalAbort
+    epochs = []
+
+    def train_epoch(*args):
+        epochs.append(len(epochs) + 1)
+        if len(epochs) == 2:
+            raise NumericalAbort("non-finite training loss nan")
+        return real(*args)
+
+    real = training.train_epoch
+    monkeypatch.setattr(training, "train_epoch", train_epoch)
+    cfg, _ = _config(tmp_path, epochs=3)
+    assert cli.main(["train", "--config", cfg]) == 4
+    assert "error:" in capsys.readouterr().err
+    lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+    assert lines[1] == "epoch,split,loss,top1"
+    assert [line.split(",")[:2] for line in lines[2:]] == [["1", "train"]]
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
 def test_train_bad_fraction_exit_code(tmp_path, capsys):
     cfg_path, _ = _config(tmp_path, network={
         "input_shape": [1, 28, 28],

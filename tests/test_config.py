@@ -212,3 +212,98 @@ def test_load_config_round_trip(tmp_path):
     rc = cfg.load_config(str(path))
     assert rc.epochs == 2
     assert rc.output_dir == "out"
+
+
+def _rich_doc():
+    return {
+        "seed": 3, "epochs": 2, "batch_size": 8, "learning_rate": 0.01,
+        "momentum": 0.9, "schedule": {"kind": "plateau", "factor": 0.1, "patience": 2},
+        "network": {
+            "input_shape": [1, 9, 9],
+            "layers": [
+                {"kind": "conv", "out_channels": 4, "kernel": 3, "pad": 1},
+                {"kind": "relu"},
+                {"kind": "maxpool", "window": 2, "stride": 2},
+                {"kind": "rpc_conv", "out_channels": 4, "kernel": 3, "pad": 1,
+                 "rotate_fraction": 0.5},
+                {"kind": "frpc_conv", "out_channels": 4, "kernel": 3,
+                 "rotate_fraction": 0.25, "flip_fraction": 0.5},
+                {"kind": "prelu"},
+                {"kind": "flatten"},
+                {"kind": "fc", "out_features": 6},
+                {"kind": "dropout", "p": 0.5, "mode": "split"},
+                {"kind": "fc", "out_features": 4},
+            ],
+        },
+        "dataset": {"kind": "synthetic_shapes", "n_per_class": 2, "seed": 1},
+        "val_dataset": {"kind": "idx", "images": "a.idx", "labels": "b.idx"},
+        "output_dir": "runs/x",
+    }
+
+
+def _slots(node):
+    """Every (container, key) of the document tree, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+_SIZE_KEYS = ("out_channels", "kernel", "pad", "window", "stride", "out_features",
+              "n_per_class", "batch_size", "epochs")
+_MUTANTS = (st.none() | st.booleans() | st.integers(-2, 5)
+            | st.sampled_from([0.5, 1.0, -0.0, float("nan"), float("inf"), "", "conv",
+                               "rpc_conv", "dropout", "split", "plateau", "idx", [], {},
+                               [1, 2], {"kind": "relu"}]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_config_builds_or_exits_2(data, tmp_path_factory):
+    """One mutation of a valid document through `parse_config` and
+    `init_weights` under the CLI's exit-code mapping: it builds, or exits 2
+    with an `error:` line and no traceback. Half the mutations set a size,
+    either small or so large that a cap must refuse it before anything is
+    allocated; the others replace any value, remove a key or add one."""
+    import contextlib
+    import io
+    from unittest import mock
+
+    from spinconv import cli
+    from spinconv.layers import NetworkSpec
+    from spinconv.training import init_weights
+
+    doc = _rich_doc()
+    slots = list(_slots(doc))
+    if data.draw(st.booleans()):
+        node, key = data.draw(st.sampled_from(
+            [(node, key) for node, key in slots
+             if key in _SIZE_KEYS or node is doc["network"]["input_shape"]]))
+        node[key] = data.draw(st.integers(-1, 4) | st.sampled_from([2 ** 25, 2 ** 40, 2 ** 64]))
+    else:
+        node, key = data.draw(st.sampled_from(slots))
+        action = data.draw(st.sampled_from(["replace", "remove", "add"]))
+        if action == "replace":
+            node[key] = data.draw(_MUTANTS)
+        elif action == "remove":
+            del node[key]
+        elif isinstance(node, dict):
+            node["extra"] = data.draw(_MUTANTS)
+        else:
+            node.append(data.draw(_MUTANTS))
+
+    def build(args):
+        rc = cfg.load_config(args.config)
+        init_weights(NetworkSpec(rc.input_shape, rc.layers), rc.seed)
+        return 0
+
+    path = tmp_path_factory.mktemp("mutant") / "run.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with mock.patch.object(cli, "cmd_train", build), contextlib.redirect_stderr(err):
+        code = cli.main(["train", "--config", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()

@@ -281,6 +281,30 @@ def test_rpc_backward_stale_cache():
         layer.backward(np.zeros((1, 1, 5, 5)), {})
 
 
+def test_rpc_backward_peak_memory_bounded_by_chunk():
+    """The benchmark network's rpc layer (16 -> 32 channels, 144 expanded,
+    14x14, batch 128): each chunk routes its gradient straight into one
+    float64 channel-major product, so the peak stays near 36 MiB. A
+    full-batch expanded NCHW gradient reached 49 MiB, and so would one
+    chunk's temporaries kept alive into the next."""
+    import tracemalloc
+    rng = np.random.default_rng(36)
+    layer = RpcConvLayer(16, 32, 3, pad=1, rotate_fraction=0.5,
+                         rng=np.random.default_rng(37))
+    layer.weights[...] = rng.normal(size=layer.weights.shape)
+    x = rng.normal(size=(128, 16, 14, 14)).astype(np.float32)
+    cache = {}
+    y = layer.forward(x, cache)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        layer.backward(g, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
 def test_frpc_flip_symmetric_filter_equals_plain_conv():
     layer = FrpcConvLayer(1, 1, 3, rotate_fraction=0.0, flip_fraction=1.0,
                           rng=np.random.default_rng(16), dtype=np.float64)

@@ -262,6 +262,26 @@ def test_maxpool_nan_window_matches_np_argmax(window, stride):
     assert np.array_equal(arg, ref_arg)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,stride", [(1, 1), (2, 2), (3, 1), (3, 2), (2, 3), (4, 3)])
+def test_maxpool_separable_max_equals_scan_and_oracle(window, stride, dtype):
+    # 9x10 inputs leave remainder rows or columns at strides 2, 3 and 4
+    rng = np.random.default_rng(17)
+    x = rng.integers(-3, 3, size=(2, 3, 9, 10)).astype(dtype)
+    x[0, 1, :3, :3] = 2.0
+    x[1, 0, 5, 5], x[0, 2, 2, 2] = np.inf, -np.inf
+    y, none = tc.maxpool2d_forward(x, window, stride, indices=False)
+    assert none is None
+    assert y.dtype == x.dtype and y.flags.c_contiguous and not np.shares_memory(y, x)
+    assert np.array_equal(y, tc.maxpool2d_forward(x, window, stride)[0])
+    assert np.array_equal(y, oracle.naive_maxpool(x, window, stride)[0])
+    # the oracle's scan skips NaN, so a NaN window is checked against the scan
+    x[0, 1, 0, 0] = x[1, 2, 4, 3] = np.nan
+    y, _ = tc.maxpool2d_forward(x, window, stride, indices=False)
+    assert np.isnan(y[0, 1, 0, 0])
+    assert np.array_equal(y, tc.maxpool2d_forward(x, window, stride)[0], equal_nan=True)
+
+
 @pytest.mark.parametrize("window,stride", [(2, 2), (3, 3), (2, 3)])
 def test_maxpool_backward_bitwise_equals_add_at(window, stride):
     rng = np.random.default_rng(16)

@@ -209,6 +209,41 @@ def test_backward_split_matches_hand_derivation():
                                gy[None, :], atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers, input_shape", [
+    ([{"kind": "conv", "out_channels": 4, "kernel": 5, "pad": 2},
+      {"kind": "relu"},
+      {"kind": "maxpool", "window": 2, "stride": 2},
+      {"kind": "rpc_conv", "out_channels": 8, "kernel": 3, "pad": 1,
+       "rotate_fraction": 0.5},
+      {"kind": "relu"},
+      {"kind": "flatten"},
+      {"kind": "fc", "out_features": 6},
+      {"kind": "dropout", "mode": "split"},
+      {"kind": "fc", "out_features": 3}], (1, 10, 10)),
+    ([{"kind": "flatten"},
+      {"kind": "fc", "out_features": 6},
+      {"kind": "relu"},
+      {"kind": "dropout", "mode": "split"},
+      {"kind": "fc", "out_features": 3}], (1, 4, 4)),
+], ids=["rpc", "fc-first"])
+def test_backward_without_input_grad_gives_the_same_parameter_gradients(
+        layers, input_shape, dtype):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(70,) + input_shape).astype(dtype)
+    labels = rng.integers(0, 3, size=70)
+    grads = []
+    for input_grad in (True, False):
+        net = tr.init_weights(NetworkSpec(input_shape, layers), seed=4, dtype=dtype)
+        _, branches = tr.forward_training(net, x, labels)
+        grads.append(tr.backward_training(branches, input_grad=input_grad))
+        assert (branches.input_grad is None) == (not input_grad)
+    assert grads[0].keys() == grads[1].keys()
+    for key in grads[0]:
+        assert grads[0][key].dtype == grads[1][key].dtype
+        assert grads[0][key].tobytes() == grads[1][key].tobytes(), key
+
+
 def test_backward_full_pipeline_finite_difference():
     results = oracle.gradient_suite(seed=11, kinds=("sdropout",))
     assert results[0]["max_rel"] <= 1e-4
