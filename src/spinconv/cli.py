@@ -74,7 +74,14 @@ def cmd_train(args) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     config_echo = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
     metrics_path = os.path.join(cfg.output_dir, "metrics.csv")
-    # rows stream out as epochs finish, so an aborted run keeps the ones it has
+    ckpt_path = os.path.join(cfg.output_dir, "checkpoint.bin")
+    run_path = os.path.join(cfg.output_dir, "run.json")
+    # rows stream out as epochs finish, so an aborted run keeps the ones it
+    # has; an earlier run's checkpoint and run.json go first, so no file of
+    # it is left beside them
+    for stale in (ckpt_path, run_path):
+        if os.path.lexists(stale):
+            os.remove(stale)
     with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# seed={cfg.seed} config={config_echo}\n")
         f.write("epoch,split,loss,top1\n")
@@ -87,11 +94,9 @@ def cmd_train(args) -> int:
         rows = training.fit(net, images, train_ds.labels, state, cfg.epochs,
                             schedule, val_images, val_labels, on_row=write_row)
 
-    ckpt_path = os.path.join(cfg.output_dir, "checkpoint.bin")
     checkpoint.save_checkpoint(net, ckpt_path, mean_image=train_ds.mean_image,
                                extra={"config": cfg.doc, "seed": cfg.seed})
 
-    run_path = os.path.join(cfg.output_dir, "run.json")
     with open(run_path, "w", encoding="utf-8", newline="\n") as f:
         json.dump({"format_version": checkpoint.FORMAT_VERSION, "seed": cfg.seed,
                    "config": cfg.doc,

@@ -16,8 +16,8 @@ are summed over the chunks in double precision. Each chunk is one pipeline
 on that channel-major layout. For a bank with orientation-pooled filters
 the forward adds the bias and casts in one pass over the whole product,
 pools each group over contiguous variant row slabs, and then transposes
-only the stored rows to NCHW; a bank without pooled filters transposes as
-it adds the bias. The backward builds the chunk's float64 channel-major
+only the stored rows to NCHW; a bank without pooled filters adds the bias
+in place and casts as it transposes. The backward builds the chunk's float64 channel-major
 gradient straight from the stored rows' gradient and the winners. Conv and
 pool outputs and gradients are C-contiguous NCHW arrays.
 
@@ -170,17 +170,14 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, pools=()) -> np.ndarray:
     out = np.empty((len(x), o, h_out, w_out), dtype=dt)
     width, ckk = min(len(x), _CHUNK) * h_out * w_out, w_mat.shape[1]
     cols_buf, y_buf = np.split(np.empty((ckk + o_exp) * width), [ckk * width])
+    # pools compare the cast values, so with pools the cast comes first
     cast_buf = np.empty(o_exp * width, dt) if pools and dt != np.float64 else None
     for a in range(0, len(x), _CHUNK):
         cols = _im2col(x[a:a + _CHUNK], k, params.stride, params.pad, cols_buf)
         y = np.matmul(w_mat, cols, out=_front(y_buf, (o_exp, cols.shape[1])))
-        if not pools:
-            np.add(y.reshape(o, -1, h_out, w_out).transpose(1, 0, 2, 3), bias[:, :, None],
-                   out=out[a:a + _CHUNK], casting="same_kind")
-            continue
-        # +bias and the cast in one pass over the channel-major product, then
-        # each group pools contiguous variant slabs and only the stored rows
-        # are transposed
+        # +bias (and the cast) in one pass over the channel-major product,
+        # then each group pools contiguous variant slabs and only the stored
+        # rows are transposed
         yd = y if cast_buf is None else _front(cast_buf, y.shape)
         np.add(y, bias, out=yd, casting="same_kind")
         for f, row, s, winners, slots in pools:
@@ -304,8 +301,11 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = T
     inside its H*W input plane; first occurrence in row-major window order
     wins on ties, and a window holding NaN yields NaN at its first NaN, as
     np.argmax does. With indices=False the winner scan is skipped and
-    argmax_indices is None; the max is then taken separably, over the
-    window's rows and then its columns, which gives the same values.
+    argmax_indices is None; the max is then taken separably, along each
+    window row and then across the rows. That combines the window in the
+    scan's row-major order, so the output has the same bytes, also where
+    np.maximum picks between values that compare equal (+0.0 and -0.0, or
+    NaN payloads).
     """
     if x.ndim != 4:
         raise DimensionError(f"pool input must be 4-d [N,C,H,W], got shape {x.shape}")
@@ -313,12 +313,12 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = T
     h_out = conv_output_size(h, window, stride, 0)
     w_out = conv_output_size(w, window, stride, 0)
     if not indices:
-        # separable: the max over the window's rows on full-width rows, then
-        # over its columns
-        rows = _first_max([x[:, :, a:a + stride * (h_out - 1) + 1:stride]
-                           for a in range(window)], False)[0]
-        y = _first_max([rows[..., b:b + stride * (w_out - 1) + 1:stride]
-                        for b in range(window)], False)[0]
+        # separable: the max along each window row on all input rows, then
+        # across the window's rows
+        rows = _first_max([x[..., b:b + stride * (w_out - 1) + 1:stride]
+                           for b in range(window)], False)[0]
+        y = _first_max([rows[:, :, a:a + stride * (h_out - 1) + 1:stride]
+                        for a in range(window)], False)[0]
         return (y.copy() if window == 1 else y), None
     # one strided view per window position, in row-major window order
     views = [x[:, :, a:a + stride * (h_out - 1) + 1:stride,

@@ -107,6 +107,10 @@ def test_train_is_byte_deterministic(tmp_path):
 def test_aborted_train_keeps_finished_metric_rows(tmp_path, monkeypatch, capsys):
     from spinconv import training
     from spinconv.errors import NumericalAbort
+    # an earlier run's files must not stay beside the aborted run's rows
+    cfg, _ = _config(tmp_path, epochs=3)
+    assert cli.main(["train", "--config", cfg]) == 0
+    assert (tmp_path / "run" / "checkpoint.bin").exists()
     epochs = []
 
     def train_epoch(*args):
@@ -117,13 +121,12 @@ def test_aborted_train_keeps_finished_metric_rows(tmp_path, monkeypatch, capsys)
 
     real = training.train_epoch
     monkeypatch.setattr(training, "train_epoch", train_epoch)
-    cfg, _ = _config(tmp_path, epochs=3)
     assert cli.main(["train", "--config", cfg]) == 4
     assert "error:" in capsys.readouterr().err
     lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
     assert lines[1] == "epoch,split,loss,top1"
     assert [line.split(",")[:2] for line in lines[2:]] == [["1", "train"]]
-    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+    assert sorted(os.listdir(tmp_path / "run")) == ["metrics.csv"]
 
 
 def test_train_bad_fraction_exit_code(tmp_path, capsys):

@@ -280,6 +280,14 @@ def test_maxpool_separable_max_equals_scan_and_oracle(window, stride, dtype):
     y, _ = tc.maxpool2d_forward(x, window, stride, indices=False)
     assert np.isnan(y[0, 1, 0, 0])
     assert np.array_equal(y, tc.maxpool2d_forward(x, window, stride)[0], equal_nan=True)
+    # values that compare equal but differ in bits: +0.0 and -0.0, and two
+    # NaN payloads; the separable max must return the scan's bytes
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], np.uint64).view(np.float64)
+    x = rng.choice(np.array([0.0, -0.0, -1.0, nans[0], nans[1]]), size=(2, 3, 9, 10),
+                   p=[0.45, 0.45, 0.06, 0.02, 0.02]).astype(dtype)
+    x[0, 0, 0, :2], x[0, 0, 1, :2] = (-1.0, 0.0), (-0.0, -1.0)
+    y, _ = tc.maxpool2d_forward(x, window, stride, indices=False)
+    assert y.tobytes() == tc.maxpool2d_forward(x, window, stride)[0].tobytes()
 
 
 @pytest.mark.parametrize("window,stride", [(2, 2), (3, 3), (2, 3)])
