@@ -192,22 +192,17 @@ class _OrientedConv(Layer):
     layer trains exactly as many values as a plain convolution, which is
     this layer with no pooled filter (the fractions default to 0).
 
-    Rows 0..O-1 of the expanded kernel bank are the stored kernels, variant
-    0 of every filter; each pooled group (rotate8, flip_lr, flip_ud) appends
-    its other S-1 variants, variant-major, so each variant of a group is one
-    contiguous row slab of the conv product. The layer owns only that
-    expansion, the group layout and the pullback: `forward`, `infer` and
-    `backward` hand the groups to one `tensor_core` conv call over the whole
-    batch, whose chunk loop pools each pooled filter's variants with the
-    rule max-pooling uses and routes its gradient. `forward` also keeps the
-    winner (the first maximum or, where a NaN occurs, the first NaN, as
-    np.argmax picks) per position as int8 in `cache["rot_win"]` [N, rotated
-    filters, H', W'] and `cache["flip_win"]` [N, flipped filters, H', W']
-    (None without that bank); `infer` skips it. The variants are the
-    weights gathered through the `kernel_transforms.bank_index` cell
-    permutations; the backward routes each gradient only to its winning
-    variant and pulls the kernel gradients back through the inverse
-    permutations.
+    The layer owns the selections of pooled filters and two banks built
+    from them once: the rotated filters with the rotate8 cell permutations
+    of `kernel_transforms.bank_index`, and the flipped filters each with its
+    own flip_lr or flip_ud pair. `forward`, `infer` and `backward` hand the
+    stored kernels and the banks to one `tensor_core` conv call over the
+    whole batch, which expands, pools and routes the variants and pulls the
+    gradients back onto the stored kernels. `forward` also keeps the winner
+    (the first maximum or, where a NaN occurs, the first NaN, as np.argmax
+    picks) per position as int8 in `cache["rot_win"]` [N, rotated filters,
+    H', W'] and `cache["flip_win"]` [N, flipped filters, H', W'] (None
+    without that bank); `infer` skips it.
 
     Ties are decided on the computed responses. Identical expanded kernel
     rows need not come out of the float64 GEMM bit-identical, so in float64
@@ -241,22 +236,15 @@ class _OrientedConv(Layer):
         self.flip_axes = {int(f): ("left_right" if i % 2 == 0 else "up_down")
                           for i, f in enumerate(flip_order)}
         self.flip_set = np.array(sorted(self.flip_axes), dtype=int)
-        flip_axis = np.array([self.flip_axes[int(f)] for f in self.flip_set])
-        # (bank index, its inverse permutations, filters, winner-map key, the
-        # filters' rows in that map, first expanded row): variant s >= 1 of a
-        # group's m filters owns the expanded rows first + (s-1)*m .. first + s*m
-        self._groups, row = [], out_channels
-        for mode, filters, key, pooled in (
-                ("rotate8", self.rotate_set, "rot_win", self.rotate_set),
-                ("flip_lr", self.flip_set[flip_axis == "left_right"], "flip_win",
-                 self.flip_set),
-                ("flip_ud", self.flip_set[flip_axis == "up_down"], "flip_win",
-                 self.flip_set)):
-            if filters.size:
-                index = kt.bank_index(mode, kernel)
-                self._groups.append((index, np.argsort(index, axis=1), filters, key,
-                                     np.searchsorted(pooled, filters), row))
-                row += (len(index) - 1) * filters.size
+        # (filters, their [m, S, k*k] cell permutations, winner-map key)
+        self._banks = []
+        if n_rot:
+            self._banks.append((self.rotate_set, np.broadcast_to(
+                kt.bank_index("rotate8", kernel), (n_rot, 8, kernel * kernel)), "rot_win"))
+        if n_flip:
+            self._banks.append((self.flip_set, np.stack([
+                kt.bank_index("flip_lr" if self.flip_axes[int(f)] == "left_right"
+                              else "flip_ud", kernel) for f in self.flip_set]), "flip_win"))
 
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
@@ -265,67 +253,33 @@ class _OrientedConv(Layer):
         return ConvParams(self.weights, self.bias, self.stride, self.pad)
 
     # -- forward / backward ----------------------------------------------
-    def _pools(self, wins):
-        """The groups as `tensor_core.conv2d_forward` pools, with the winner
-        maps of `wins` (keyed like the cache)."""
-        return [(f, row, len(index), wins[key], pos)
-                for index, _, f, key, pos, row in self._groups]
-
-    def _pooled(self, x, winners: bool):
-        """(pooled output, winner maps keyed like the cache, expanded conv
-        params); the winner maps stay None unless `winners`."""
-        _, c, k, _ = self.weights.shape
-        # each group's [m*C, k*k] weights gathered through its index rows but
-        # the identity, variant-major: [S-1, m*C, k*k], so variant s of
-        # filter i is row (s-1)*m + i of the group
-        params = ConvParams(
-            np.concatenate([self.weights] + [
-                self.weights[f].reshape(-1, k * k)[:, index[1:]].swapaxes(0, 1)
-                .reshape(-1, c, k, k)
-                for index, _, f, *_ in self._groups]),
-            np.concatenate([self.bias] + [np.tile(self.bias[f], len(index) - 1)
-                                          for index, _, f, *_ in self._groups]),
-            self.stride, self.pad)
-        h, w = _output_size(x, params)
-        wins = {key: np.empty((len(x), pooled.size, h, w), np.int8)
-                if winners and pooled.size else None
-                for key, pooled in (("rot_win", self.rotate_set),
-                                    ("flip_win", self.flip_set))}
-        return conv2d_forward(x, params, self._pools(wins)), wins, params
+    def _conv_banks(self, wins):
+        """The banks as `tensor_core` takes them, with the winner maps of
+        `wins` (keyed like the cache; a missing map is None)."""
+        return [(f, index, wins.get(key)) for f, index, key in self._banks]
 
     def forward(self, x, cache):
-        out, wins, params = self._pooled(x, winners=True)
-        cache.update(wins, x=x, params=params, out_shape=out.shape)
+        params = self.conv_params()
+        h, w = _output_size(x, params)
+        wins = dict.fromkeys(("rot_win", "flip_win"))
+        for f, _, key in self._banks:
+            wins[key] = np.empty((len(x), len(f), h, w), np.int8)
+        out = conv2d_forward(x, params, self._conv_banks(wins))
+        cache.update(wins, x=x, out_shape=out.shape)
         return out
 
     def infer(self, x):
-        return self._pooled(x, winners=False)[0]
+        return conv2d_forward(x, self.conv_params(), self._conv_banks({}))
 
     def backward(self, grad_out, cache, input_grad=True):
-        if "params" not in cache:
+        if "out_shape" not in cache:
             raise ConsistencyError("conv backward called without a matching forward")
         if grad_out.shape != cache["out_shape"]:
             raise ConsistencyError(
                 f"grad_out shape {grad_out.shape} does not match cached forward "
                 f"output {cache['out_shape']}; stale cache?")
-        gx, gw_exp, gb_exp = conv2d_backward(grad_out, cache["x"], cache["params"],
-                                             self._pools(cache), input_grad)
-
-        o = self.weights.shape[0]
-        gw, gb = gw_exp[:o].copy(), gb_exp[:o].copy()
-        for index, inverse, f, _, _, row in self._groups:
-            s, m, kk = len(index), f.size, index.shape[-1]
-            rows = slice(row, row + (s - 1) * m)
-            # [S, m*C, k*k] variant gradients, each through its inverse
-            # permutation, cast, then summed over the variants in variant order
-            pulled = np.take_along_axis(np.concatenate((gw_exp[f].reshape(1, -1, kk),
-                                                        gw_exp[rows].reshape(s - 1, -1, kk))),
-                                        inverse[:, None], axis=2)
-            pulled = pulled.astype(gw.dtype, copy=False)
-            gw[f] = pulled.sum(axis=0).reshape(m, *gw.shape[1:])
-            # summed as [filter, variant] rows
-            gb[f] = np.concatenate((gb_exp[f][None], gb_exp[rows].reshape(s - 1, m))) \
-                .T.copy().sum(axis=1)
+        gx, gw, gb = conv2d_backward(grad_out, cache["x"], self.conv_params(),
+                                     self._conv_banks(cache), input_grad)
         self._accumulate("weights", gw)
         self._accumulate("bias", gb)
         return gx

@@ -12,21 +12,28 @@ lowered to a GEMM against a channel-major [C*k*k, n*H'*W'] column matrix,
 so the product comes out channel-major, [O, n*H'*W']. Forward and backward
 both run over the batch _CHUNK images at a time, which bounds the float64
 columns and products whatever the batch size; the weight and bias gradients
-are summed over the chunks in double precision. Each chunk is one pipeline
-on that channel-major layout. For a bank with orientation-pooled filters
-the forward adds the bias and casts in one pass over the whole product,
-pools each group over contiguous variant row slabs, and then transposes
-only the stored rows to NCHW; a bank without pooled filters adds the bias
-in place and casts as it transposes. The backward builds the chunk's float64 channel-major
-gradient straight from the stored rows' gradient and the winners. Conv and
-pool outputs and gradients are C-contiguous NCHW arrays.
+are summed over the chunks in double precision.
+
+A conv takes the O stored kernels and orientation banks, one per winner
+map. A bank is (filters, index, winners): m ascending filter indices, their
+int [m, S, k*k] cell permutations (row 0 the identity), and an int8
+[N, m, H', W'] winner map or None. Variant s of filter i is its kernel
+gathered through index[i, s]. The expanded kernel matrix holds the stored
+kernels in rows 0..O-1, then each bank's variants 1..S-1, variant-major, so
+each variant is one contiguous row slab of the product. Per chunk, the
+forward adds the bias (and, with banks, casts) in one pass, pools each bank
+over its slabs with `_first_max`, and transposes only the stored rows to
+NCHW; the backward routes the stored rows' gradient to the winning variants.
+The weight and bias gradients are then cast, pulled back through the
+inverse permutations and summed over the variants in variant order. Conv
+and pool outputs and gradients are C-contiguous NCHW arrays, the stored
+filters' for a conv.
 
 Max-pooling breaks ties deterministically: the first maximum in a row-major
 scan of the window wins, and a window holding NaN yields its first NaN, as
-np.argmax does. `_first_max` is that rule, and orientation pooling in the
-conv pipeline uses it too. The pool backward scatter sums overlapping windows in
-double precision as well; with non-overlapping windows it only places
-values.
+np.argmax does; `_first_max` is that rule. The pool backward scatter sums
+overlapping windows in double precision as well; with non-overlapping
+windows it only places values.
 """
 from __future__ import annotations
 
@@ -145,102 +152,127 @@ def _output_size(x: np.ndarray, params: ConvParams):
             conv_output_size(x.shape[3], k, stride, pad))
 
 
-def _stored_rows(params: ConvParams, pools) -> int:
-    # every pooled filter's variants 1..S-1 come after the stored rows
-    return params.out_channels - sum((s - 1) * len(f) for f, _, s, *_ in pools)
+def _expanded(params: ConvParams, banks):
+    """The expanded bank's float64 [O_exp, C*k*k] weights and [O_exp] bias."""
+    o, c, k, _ = params.weights.shape
+    w = params.weights.reshape(o, c, k * k)
+    # variant s of filter i is its kernel gathered through index[i, s]
+    weights = [w.reshape(o, -1)] + [
+        np.take_along_axis(w[f][:, None], index[:, 1:, None], axis=3)
+        .swapaxes(0, 1).reshape(-1, c * k * k) for f, index, _ in banks]
+    bias = [params.bias] + [np.tile(params.bias[f], index.shape[1] - 1)
+                            for f, index, _ in banks]
+    return (np.asarray(np.concatenate(weights), dtype=np.float64),
+            np.asarray(np.concatenate(bias), dtype=np.float64))
 
 
-def conv2d_forward(x: np.ndarray, params: ConvParams, pools=()) -> np.ndarray:
-    """Cross-correlate x [N,C,H,W] with the kernel bank, add bias.
+def _slabs(o: int, banks):
+    """Each bank as (filters, index, winners, its first variant row)."""
+    row = o
+    for f, index, winners in banks:
+        yield f, index, winners, row
+        row += (index.shape[1] - 1) * len(f)
 
-    Each entry (filters, row, variants, winners, slots) of `pools` makes the
-    ascending stored rows `filters` (m of them) pool over an orientation
-    bank of S = `variants` kernels: variant 0 is the stored row, variant
-    s >= 1 row `row` + (s-1)*m + i for filter i, after all stored rows. The
-    output then holds only the stored rows, a pooled filter's the first
-    maximum over its variants; where `winners` is an int8 [N, P, H', W']
-    array, the winning variant goes to its rows `slots`.
+
+def conv2d_forward(x: np.ndarray, params: ConvParams, banks=()) -> np.ndarray:
+    """Cross-correlate x [N,C,H,W] with the stored kernels, add bias.
+
+    Each of `banks` (see above) makes its filters output the first maximum
+    over their variants, and writes the winning variant to its map if any.
     """
     h_out, w_out = _output_size(x, params)
-    o_exp, k = params.out_channels, params.kernel_size
-    o = _stored_rows(params, pools)
+    o, k = params.out_channels, params.kernel_size
     dt = _working_dtype(x, params.weights)
-    w_mat = np.asarray(params.weights.reshape(o_exp, -1), dtype=np.float64)
-    bias = np.asarray(params.bias, dtype=np.float64)[:, None]
+    w_mat, bias = _expanded(params, banks)
+    o_exp, ckk = w_mat.shape
     out = np.empty((len(x), o, h_out, w_out), dtype=dt)
-    width, ckk = min(len(x), _CHUNK) * h_out * w_out, w_mat.shape[1]
+    width = min(len(x), _CHUNK) * h_out * w_out
     cols_buf, y_buf = np.split(np.empty((ckk + o_exp) * width), [ckk * width])
-    # pools compare the cast values, so with pools the cast comes first
-    cast_buf = np.empty(o_exp * width, dt) if pools and dt != np.float64 else None
+    # pools compare the cast values, so with banks the cast comes first
+    cast_buf = np.empty(o_exp * width, dt) if banks and dt != np.float64 else None
     for a in range(0, len(x), _CHUNK):
         cols = _im2col(x[a:a + _CHUNK], k, params.stride, params.pad, cols_buf)
         y = np.matmul(w_mat, cols, out=_front(y_buf, (o_exp, cols.shape[1])))
         # +bias (and the cast) in one pass over the channel-major product,
-        # then each group pools contiguous variant slabs and only the stored
+        # then each bank pools contiguous variant slabs and only the stored
         # rows are transposed
         yd = y if cast_buf is None else _front(cast_buf, y.shape)
-        np.add(y, bias, out=yd, casting="same_kind")
-        for f, row, s, winners, slots in pools:
+        np.add(y, bias[:, None], out=yd, casting="same_kind")
+        for f, index, winners, row in _slabs(o, banks):
             m = len(f)
             best, win = _first_max([yd[f]] + [yd[row + i * m:row + (i + 1) * m]
-                                             for i in range(s - 1)], winners is not None)
+                                             for i in range(index.shape[1] - 1)],
+                                   winners is not None)
             yd[f] = best
             if win is not None:
-                winners[a:a + _CHUNK, slots] = \
-                    win.reshape(m, -1, h_out, w_out).transpose(1, 0, 2, 3)
+                winners[a:a + _CHUNK] = win.reshape(m, -1, h_out, w_out).transpose(1, 0, 2, 3)
         out[a:a + _CHUNK] = yd[:o].reshape(o, -1, h_out, w_out).transpose(1, 0, 2, 3)
     return out
 
 
-def _routed(grad_out: np.ndarray, o_exp: int, pools, a: int, buf: np.ndarray) -> np.ndarray:
+def _routed(grad_out: np.ndarray, o_exp: int, banks, a: int, buf: np.ndarray) -> np.ndarray:
     """The float64 channel-major [O_exp, n*H'*W'] gradient of the expanded
     product for the chunk grad_out [n, O, H', W'] that starts at image `a`,
     written to the front of `buf`: each pooled filter's gradient goes to the
     variant that won the position."""
     g_t = grad_out.transpose(1, 0, 2, 3)
     g = _front(buf, (o_exp, g_t[0].size))
-    # every row is written once: the stored rows here, each group's variant
+    # every row is written once: the stored rows here, each bank's variant
     # rows below
     g[:len(g_t)].reshape(g_t.shape)[...] = g_t
-    for f, row, s, winners, slots in pools:
+    for f, index, winners, row in _slabs(len(g_t), banks):
         m = len(f)
-        win = winners[a:a + len(grad_out), slots].transpose(1, 0, 2, 3).reshape(m, -1)
+        win = winners[a:a + len(grad_out)].transpose(1, 0, 2, 3).reshape(m, -1)
         g_f = g[f]
-        for i in range(1, s):
+        for i in range(1, index.shape[1]):
             g[row + (i - 1) * m:row + i * m] = np.where(win == i, g_f, 0.0)
         g[f] = np.where(win == 0, g_f, 0.0)
     return g
 
 
-def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams, pools=(),
+def _pulled_back(gw: np.ndarray, gb: np.ndarray, o: int, banks):
+    """The stored filters' gradients from the expanded ones, gw [O_exp,
+    C*k*k] and gb [O_exp]."""
+    gw_o, gb_o = gw[:o].copy(), gb[:o].copy()
+    for f, index, _, row in _slabs(o, banks):
+        m, s, kk = index.shape
+        rows = slice(row, row + (s - 1) * m)
+        variants = np.concatenate((gw[f][None], gw[rows].reshape(s - 1, m, -1)))
+        inverse = np.argsort(index, axis=2).swapaxes(0, 1)[:, :, None]
+        gw_o[f] = np.take_along_axis(variants.reshape(s, m, -1, kk), inverse, axis=3) \
+            .sum(axis=0).reshape(m, -1)
+        # summed as [filter, variant] rows
+        gb_o[f] = np.concatenate((gb[f][None], gb[rows].reshape(s - 1, m))).T.copy().sum(axis=1)
+    return gw_o, gb_o
+
+
+def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams, banks=(),
                     input_grad: bool = True):
     """Gradients of the convolution: (grad_input, grad_weights, grad_bias).
 
-    With `pools`, as in `conv2d_forward`, grad_out holds the stored rows and
-    the winner maps route it; the weight and bias gradients are the whole
-    bank's. Without `input_grad`, grad_input is None and its GEMM and col2im
-    are skipped.
+    `banks` are the forward's, whose winner maps route grad_out. Without
+    `input_grad`, grad_input is None and its GEMM and col2im are skipped.
     """
     h_out, w_out = _output_size(x, params)
     n, c, h, w = x.shape
-    o_exp, k = params.out_channels, params.kernel_size
+    o, k = params.out_channels, params.kernel_size
     stride, pad = params.stride, params.pad
-    o = _stored_rows(params, pools)
     if grad_out.shape != (n, o, h_out, w_out):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, o, h_out, w_out)}")
     dt = _working_dtype(x, params.weights)
-    w_mat = np.asarray(params.weights.reshape(o_exp, -1), dtype=np.float64)
+    w_mat = _expanded(params, banks)[0]
+    o_exp, ckk = w_mat.shape
     grad_input = np.empty((n, c, h, w), dtype=dt) if input_grad else None
     grad_weights = np.zeros(w_mat.shape)
     grad_bias = np.zeros(o_exp)
-    width, ckk = min(n, _CHUNK) * h_out * w_out, w_mat.shape[1]
+    width = min(n, _CHUNK) * h_out * w_out
     cols_buf, g_buf = np.split(np.empty((ckk + o_exp) * width), [ckk * width])
     for a in range(0, n, _CHUNK):
         x_a = x[a:a + _CHUNK]
         cols = _im2col(x_a, k, stride, pad, cols_buf)
-        g = _routed(grad_out[a:a + _CHUNK], o_exp, pools, a, g_buf)
+        g = _routed(grad_out[a:a + _CHUNK], o_exp, banks, a, g_buf)
         grad_bias += g.sum(axis=1)
         grad_weights += g @ cols.T
         if not input_grad:
@@ -255,9 +287,9 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams, poo
         np.copyto(grad_input[a:a + _CHUNK],
                   gx_pad[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3),
                   casting="same_kind")
-    return (grad_input,
-            grad_weights.reshape(params.weights.shape).astype(dt, copy=False),
-            grad_bias.astype(dt, copy=False))
+    grad_weights, grad_bias = _pulled_back(grad_weights.astype(dt, copy=False),
+                                           grad_bias.astype(dt, copy=False), o, banks)
+    return grad_input, grad_weights.reshape(params.weights.shape), grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +305,9 @@ def _first_max(views, winners: bool):
 
     The winner is the number of leading views that miss the maximum.
     np.maximum propagates NaN, so where the maximum is NaN a view misses
-    unless it holds NaN.
+    unless it holds NaN. The value is the first maximum under `==`: between
+    +0.0 and -0.0 its bytes may be the other zero than the view at the
+    reported index.
     """
     best = views[0] if len(views) == 1 else np.maximum(views[0], views[1])
     for v in views[2:]:
@@ -300,7 +334,9 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = T
     argmax_indices holds, per output element, the flat index of the winner
     inside its H*W input plane; first occurrence in row-major window order
     wins on ties, and a window holding NaN yields NaN at its first NaN, as
-    np.argmax does. With indices=False the winner scan is skipped and
+    np.argmax does. The value is the first maximum under `==`: between +0.0
+    and -0.0 its bytes may be the other zero than x at the reported index.
+    With indices=False the winner scan is skipped and
     argmax_indices is None; the max is then taken separably, along each
     window row and then across the rows. That combines the window in the
     scan's row-major order, so the output has the same bytes, also where

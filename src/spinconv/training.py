@@ -126,7 +126,6 @@ class BranchSet:
 
     net: Network
     n_split: int
-    loss: float
     masks: dict               # layer index -> Mask used this step
     logits: np.ndarray        # [2^n * N, K], block-major
     caches: list              # one dict per layer
@@ -167,7 +166,7 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
     ce_grad *= 1.0 / blocks
     loss = math.fsum(block_losses) / blocks
     masks = {i: caches[i]["mask"] for i in net.dropout_layers()}
-    return loss, BranchSet(net=net, n_split=n_split, loss=loss, masks=masks,
+    return loss, BranchSet(net=net, n_split=n_split, masks=masks,
                            logits=act, caches=caches, ce_grad=ce_grad)
 
 

@@ -281,16 +281,20 @@ def test_rpc_backward_stale_cache():
         layer.backward(np.zeros((1, 1, 5, 5)), {})
 
 
-def test_rpc_backward_peak_memory_bounded_by_chunk():
-    """The benchmark network's rpc layer (16 -> 32 channels, 144 expanded,
-    14x14, batch 128): each chunk routes its gradient straight into one
-    float64 channel-major product, so the peak stays near 36 MiB. A
-    full-batch expanded NCHW gradient reached 49 MiB, and so would one
-    chunk's temporaries kept alive into the next."""
+@pytest.mark.parametrize("cls,fractions", [
+    (RpcConvLayer, dict(rotate_fraction=0.5)),
+    (FrpcConvLayer, dict(rotate_fraction=0.25, flip_fraction=0.25))], ids=["rpc", "frpc"])
+def test_rpc_backward_peak_memory_bounded_by_chunk(cls, fractions):
+    """The benchmark networks' oriented layers (16 -> 32 channels, 14x14,
+    batch 128; rpc at rotate 0.5 is 144 expanded rows, frpc at rotate and
+    flip 0.25 is 96 with the flips in one bank): each chunk routes its
+    gradient straight into one float64 channel-major product, so the peak
+    stays near 36 MiB (rpc) and 29 MiB (frpc). A full-batch expanded NCHW
+    gradient reached 49 MiB, and so would one chunk's temporaries kept
+    alive into the next."""
     import tracemalloc
     rng = np.random.default_rng(36)
-    layer = RpcConvLayer(16, 32, 3, pad=1, rotate_fraction=0.5,
-                         rng=np.random.default_rng(37))
+    layer = cls(16, 32, 3, pad=1, rng=np.random.default_rng(37), **fractions)
     layer.weights[...] = rng.normal(size=layer.weights.shape)
     x = rng.normal(size=(128, 16, 14, 14)).astype(np.float32)
     cache = {}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinconv import kernel_transforms as kt
 from spinconv import oracle
 from spinconv import tensor_core as tc
 from spinconv.errors import DimensionError, InputError
@@ -118,6 +119,49 @@ def test_conv_chunk_boundaries_match_oracle_and_per_image_calls(n):
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_conv_banks_match_oracle_and_finite_differences(k):
+    """A rotate bank and one flip bank that mixes flip_lr and flip_ud
+    filters, called directly: the output and winners equal the max and
+    argmax over separately convolved oracle variants, and the gradients of
+    sum(out * proj) on the stored kernels equal central differences. The
+    best variant beats the second by far more than a probe moves a
+    response, so no winner flips."""
+    rng = np.random.default_rng(40 + k)
+    x = rng.normal(size=(2, 2, 6, 6))
+    p = tc.ConvParams(weights=rng.normal(size=(5, 2, k, k)), bias=rng.normal(size=5),
+                      pad=k // 2)
+    modes = {0: "rotate8", 3: "rotate8", 1: "flip_lr", 2: "flip_ud", 4: "flip_lr"}
+    rot, flip = np.array([0, 3]), np.array([1, 2, 4])
+    rot_win, flip_win = (np.empty((2, len(f), 6, 6), np.int8) for f in (rot, flip))
+    banks = [(rot, np.broadcast_to(kt.bank_index("rotate8", k), (2, 8, k * k)), rot_win),
+             (flip, np.stack([kt.bank_index(modes[f], k) for f in flip]), flip_win)]
+    y = tc.conv2d_forward(x, p, banks)
+
+    ref = oracle.naive_conv(x, p)
+    for f, win in [(f, rot_win[:, i]) for i, f in enumerate(rot)] + \
+            [(f, flip_win[:, i]) for i, f in enumerate(flip)]:
+        resps = np.stack([oracle.naive_conv(x, tc.ConvParams(v[None], p.bias[f:f + 1],
+                                                              pad=k // 2))[:, 0]
+                          for v in oracle.orientation_variants(p.weights[f], modes[f])])
+        ref[:, f] = resps.max(axis=0)
+        assert np.array_equal(win, np.argmax(resps, axis=0))
+        top2 = np.sort(resps, axis=0)[-2:]
+        assert (top2[1] - top2[0]).min() > 1e-3
+    assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    proj = rng.normal(size=y.shape)
+
+    def fn():
+        return float(np.sum(tc.conv2d_forward(x, p, [b[:2] + (None,) for b in banks]) * proj))
+
+    grads = tc.conv2d_backward(proj, x, p, banks)
+    for arr, ana in zip((x, p.weights, p.bias), grads):
+        assert ana.shape == arr.shape
+        num = oracle.finite_difference(fn, arr, epsilon=1e-5)
+        assert np.abs(num - ana).max() <= 1e-8 * np.abs(ana).max()
+
+
 def test_conv_backward_peak_memory_bounded_by_chunk():
     """The expanded frpc conv of the benchmark network (16 -> 96 channels,
     14x14, batch 128): one chunk's float64 columns and products, dropped
@@ -150,6 +194,12 @@ def test_maxpool_constant_input_tie_breaks_first():
     assert (y == 7.0).all()
     # first element of each window in row-major order
     assert np.array_equal(arg[0, 0], np.array([[0, 2], [8, 10]]))
+    # +0.0 and -0.0 tie under ==: the +0.0 first in the window wins, and the
+    # value equals it, though its bytes may be the other zero
+    x = np.array([[[[-1.0, 0.0], [-0.0, -1.0]]]], np.float32)
+    y, arg = tc.maxpool2d_forward(x, window=2, stride=2)
+    assert arg[0, 0, 0, 0] == 1
+    assert y[0, 0, 0, 0] == x.flat[arg[0, 0, 0, 0]]
 
 
 def test_maxpool_matches_exhaustive_scan():
