@@ -1,12 +1,13 @@
 """Network layers: convolution, pool, fc, activations, and dropout in
 standard and split mode.
 
-Layers hold parameters and accumulated gradients but no per-call activation
-state: `forward(x, cache)` writes whatever the matching backward needs into
-the caller-owned `cache` dict, and `backward(grad_out, cache)` reads it back
-and adds parameter gradients into `layer.grads`. `infer(x)` returns the same
-output as `forward` and keeps nothing for a backward; max-pooling and
-orientation pooling use it to skip their winner scans.
+Layers hold parameters but no per-call activation state: `forward(x,
+cache)` writes whatever the matching backward needs into the caller-owned
+`cache` dict, and `backward(grad_out, cache)` reads it back and sets
+`layer.grads` to the parameter gradients, which the optimizer step takes.
+`infer(x)` returns the same output as `forward` and keeps nothing for a
+backward; max-pooling and orientation pooling use it to skip their winner
+scans.
 
 Split-mode dropout maps R rows to 2R rows, the masked rows stacked over
 their complement, so every later layer runs both branches of the split as
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import kernel_transforms as kt
 from .config import selection_size
-from .errors import ConfigError, ConsistencyError, DimensionError, InputError
+from .errors import ConsistencyError, DimensionError, InputError
 from .tensor_core import (ConvParams, _output_size, conv2d_backward,
                           conv2d_forward, fc_backward, fc_forward,
                           maxpool2d_backward, maxpool2d_forward,
@@ -34,24 +35,8 @@ from .tensor_core import (ConvParams, _output_size, conv2d_backward,
 
 
 # ---------------------------------------------------------------------------
-# Masks and dropout
+# Layers and dropout
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Mask:
-    """Binary keep-mask over the units of one layer, shared across a batch."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits)
-        if not np.all((bits == 0) | (bits == 1)):
-            raise InputError("mask bits must be 0 or 1")
-        self.bits = bits
-
-    def __len__(self):
-        return self.bits.shape[0]
-
 
 class Layer:
     kind = "base"
@@ -67,23 +52,14 @@ class Layer:
         return self.forward(x, {})
 
     def backward(self, grad_out, cache: dict):
-        """The input gradient. Layers with parameters also take
-        `input_grad=False`, which only accumulates their gradients and
-        returns None."""
+        """The input gradient. Layers with parameters set `self.grads` to
+        name -> gradient of every parameter, and also take
+        `input_grad=False`, which sets them and returns None."""
         raise NotImplementedError
 
     def params(self) -> dict:
         """Name -> live parameter array (mutated in place by the optimizer)."""
         return {}
-
-    def zero_grads(self):
-        self.grads = {name: np.zeros_like(arr) for name, arr in self.params().items()}
-
-    def _accumulate(self, name: str, g: np.ndarray):
-        if name in self.grads:
-            self.grads[name] = self.grads[name] + g
-        else:
-            self.grads[name] = g
 
 
 class DropoutLayer(Layer):
@@ -96,8 +72,11 @@ class DropoutLayer(Layer):
     only holds when a mask and its complement are equally likely; the
     config's layer table checks p and mode.
 
-    forward uses `cache["mask"]` when the caller pinned one (a Mask or 0/1
-    bits) and draws a fresh mask from the layer's own stream otherwise.
+    A mask is a float32 0/1 array over the layer's input units, shared
+    across the batch. forward uses `cache["mask"]` when the caller pinned
+    one (any 0/1 array-like, else InputError) and draws a fresh mask from
+    the layer's own stream otherwise; either way `cache["mask"]` then holds
+    the float32 array.
     """
 
     kind = "dropout"
@@ -108,18 +87,21 @@ class DropoutLayer(Layer):
         self.mode = mode
         self.rng_stream = rng if rng is not None else np.random.default_rng(0)
 
-    def draw_mask(self, d: int) -> Mask:
-        bits = (self.rng_stream.random(d) < self.p).astype(np.float32)
-        return Mask(bits=bits)
+    def draw_mask(self, d: int) -> np.ndarray:
+        return (self.rng_stream.random(d) < self.p).astype(np.float32)
 
     def forward(self, x, cache):
         mask = cache.get("mask")
-        if mask is not None and not isinstance(mask, Mask):
-            mask = Mask(bits=np.asarray(mask, dtype=np.float32))
-        if self.mode == "split":
-            y, mask = sdropout_forward(x, self, mask)
+        if mask is None:
+            mask = self.draw_mask(x.shape[1])
         else:
-            y, mask = dropout_forward_standard(x, self, mask)
+            mask = np.asarray(mask, dtype=np.float32)
+            if not np.all((mask == 0) | (mask == 1)):
+                raise InputError("mask bits must be 0 or 1")
+        if self.mode == "split":
+            y = sdropout_forward(x, mask)
+        else:
+            y = dropout_forward_standard(x, mask)
         cache["mask"] = mask
         return y
 
@@ -128,54 +110,43 @@ class DropoutLayer(Layer):
             raise ConsistencyError("dropout backward called without a matching forward")
         if self.mode == "split":
             return sdropout_backward(grad_out, cache["mask"])
-        return grad_out * cache["mask"].bits.astype(grad_out.dtype, copy=False)
+        return grad_out * cache["mask"].astype(grad_out.dtype, copy=False)
 
 
-def _check_mask(mask: Mask, units: int):
-    if len(mask) != units:
+def _check_mask(mask: np.ndarray, units: int):
+    if mask.shape != (units,):
         raise DimensionError(
-            f"mask length {len(mask)} does not match unit count {units}")
+            f"mask shape {mask.shape} does not match unit count {units}")
 
 
-def dropout_forward_standard(y: np.ndarray, layer: DropoutLayer, mask: Mask = None):
+def dropout_forward_standard(y: np.ndarray, mask: np.ndarray):
     """Standard dropout in training: multiply by the keep-mask (inference
-    folds dropout into the weights in to_inference).
-
-    Returns (output, mask).
-    """
-    if mask is None:
-        mask = layer.draw_mask(y.shape[1])
+    folds dropout into the weights in to_inference)."""
     _check_mask(mask, y.shape[1])
-    return y * mask.bits.astype(y.dtype, copy=False), mask
+    return y * mask.astype(y.dtype, copy=False)
 
 
-def sdropout_forward(y: np.ndarray, layer: DropoutLayer, mask: Mask = None):
-    """Split the activation into its masked part stacked over the complement.
-
-    Returns (stacked, mask) where stacked[:R] = m * y and stacked[R:] =
-    (1 - m) * y for R rows of y, so the two halves add back to y bitwise.
-    """
-    if layer.mode != "split":
-        raise ConfigError("sdropout_forward requires a layer in split mode")
-    if mask is None:
-        mask = layer.draw_mask(y.shape[1])
+def sdropout_forward(y: np.ndarray, mask: np.ndarray):
+    """Split the activation into its masked part stacked over the complement:
+    stacked[:R] = m * y and stacked[R:] = (1 - m) * y for R rows of y, so
+    the two halves add back to y bitwise."""
     _check_mask(mask, y.shape[1])
-    bits = mask.bits.astype(y.dtype, copy=False)
+    bits = mask.astype(y.dtype, copy=False)
     r = y.shape[0]
     out = np.empty((2 * r,) + y.shape[1:], dtype=np.result_type(y, bits))
     np.multiply(y, bits, out=out[:r])
     np.multiply(y, 1 - bits, out=out[r:])
-    return out, mask
+    return out
 
 
-def sdropout_backward(grad: np.ndarray, mask: Mask):
+def sdropout_backward(grad: np.ndarray, mask: np.ndarray):
     """Merge the stacked branch gradients: m * grad[:R] + (1 - m) * grad[R:]."""
     if grad.shape[0] % 2:
         raise DimensionError(
             f"stacked split gradient needs an even row count, got {grad.shape[0]}")
     _check_mask(mask, grad.shape[1])
     r = grad.shape[0] // 2
-    bits = mask.bits.astype(grad.dtype, copy=False)
+    bits = mask.astype(grad.dtype, copy=False)
     return grad[:r] * bits + grad[r:] * (1 - bits)
 
 
@@ -280,8 +251,7 @@ class _OrientedConv(Layer):
                 f"output {cache['out_shape']}; stale cache?")
         gx, gw, gb = conv2d_backward(grad_out, cache["x"], self.conv_params(),
                                      self._conv_banks(cache), input_grad)
-        self._accumulate("weights", gw)
-        self._accumulate("bias", gb)
+        self.grads = {"weights": gw, "bias": gb}
         return gx
 
 
@@ -355,7 +325,7 @@ class PReluLayer(Layer):
 
     def backward(self, grad_out, cache, input_grad=True):
         gx, gs = prelu_backward(grad_out, cache["x"], self.slope)
-        self._accumulate("slope", gs)
+        self.grads = {"slope": gs}
         return gx if input_grad else None
 
 
@@ -389,8 +359,7 @@ class FcLayer(Layer):
         if "x" not in cache:
             raise ConsistencyError("fc backward called without a matching forward")
         gx, gw, gb = fc_backward(grad_out, cache["x"], self.weights, input_grad)
-        self._accumulate("weights", gw)
-        self._accumulate("bias", gb)
+        self.grads = {"weights": gw, "bias": gb}
         return gx
 
 
@@ -433,10 +402,6 @@ class Network:
         for i, layer in enumerate(self.layers):
             for name, arr in layer.params().items():
                 yield i, name, arr
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Inference chain through each layer's `infer`, so no backward state

@@ -230,27 +230,40 @@ def _away_from_zero(x, margin):
 # Per-layer gradient checks
 # ---------------------------------------------------------------------------
 
+def _probe_layer(layer, x, rng, quotas, epsilon, guard=None):
+    """Max relative error of one layer's backward against central
+    differences of sum(forward(x) * P) for a random projection P. Probes x,
+    then each entry of `layer.params()` in order, `quotas` giving the
+    coordinates per array. `guard` names the cache entries that hold the
+    forward's discrete decisions; a probe that changes one rejects the case."""
+    cache = {}
+    proj = _projection(rng, layer.forward(x, cache).shape)
+    gx = layer.backward(proj, cache)
+
+    def fn():
+        return float(np.sum(layer.forward(x, {}) * proj))
+
+    def token():
+        c = {}
+        layer.forward(x, c)
+        return tuple(b"" if c[key] is None else c[key].tobytes() for key in guard)
+
+    targets = [(x, gx)] + [(arr, layer.grads[name]) for name, arr in layer.params().items()]
+    worst, n = 0.0, 0
+    for (arr, ana), quota in zip(targets, quotas, strict=True):
+        w, c = _probe_coords(fn, arr, ana, rng, quota, epsilon,
+                             guard=token if guard else None)
+        worst, n = max(worst, w), n + c
+    return worst, n
+
+
 def _check_conv(seed, epsilon):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (2, 3, 6, 7))
     layer = ConvLayer(3, 4, 3, stride=2, pad=1, dtype=np.float64)
     layer.weights[...] = rng.normal(0.0, 0.5, layer.weights.shape)
     layer.bias[...] = rng.normal(0.0, 0.5, layer.bias.shape)
-    cache = {}
-    y = layer.forward(x, cache)
-    proj = _projection(rng, y.shape)
-    layer.grads = {}
-    gx = layer.backward(proj, cache)
-
-    def fn():
-        return float(np.sum(layer.forward(x, {}) * proj))
-
-    worst, n = 0.0, 0
-    for arr, ana, quota in ((x, gx, 50), (layer.weights, layer.grads["weights"], 50),
-                            (layer.bias, layer.grads["bias"], 4)):
-        w, c = _probe_coords(fn, arr, ana, rng, quota, epsilon)
-        worst, n = max(worst, w), n + c
-    return worst, n
+    return _probe_layer(layer, x, rng, (50, 50, 4), epsilon)
 
 
 def _check_fc(seed, epsilon):
@@ -259,21 +272,7 @@ def _check_fc(seed, epsilon):
     layer = FcLayer(9, 7, dtype=np.float64)
     layer.weights[...] = rng.normal(0.0, 0.5, layer.weights.shape)
     layer.bias[...] = rng.normal(0.0, 0.5, layer.bias.shape)
-    cache = {}
-    y = layer.forward(x, cache)
-    proj = _projection(rng, y.shape)
-    layer.grads = {}
-    gx = layer.backward(proj, cache)
-
-    def fn():
-        return float(np.sum(layer.forward(x, {}) * proj))
-
-    worst, n = 0.0, 0
-    for arr, ana, quota in ((x, gx, 45), (layer.weights, layer.grads["weights"], 55),
-                            (layer.bias, layer.grads["bias"], 7)):
-        w, c = _probe_coords(fn, arr, ana, rng, quota, epsilon)
-        worst, n = max(worst, w), n + c
-    return worst, n
+    return _probe_layer(layer, x, rng, (45, 55, 7), epsilon)
 
 
 def _check_relu(seed, epsilon):
@@ -293,20 +292,7 @@ def _check_prelu(seed, epsilon):
     x = _away_from_zero(rng.normal(0.0, 1.0, (3, 6, 4, 4)), 0.05)
     layer = PReluLayer(6, dtype=np.float64)
     layer.slope[...] = rng.uniform(0.1, 0.4, 6)
-    cache = {}
-    y = layer.forward(x, cache)
-    proj = _projection(rng, y.shape)
-    layer.grads = {}
-    gx = layer.backward(proj, cache)
-
-    def fn():
-        return float(np.sum(layer.forward(x, {}) * proj))
-
-    worst, n = 0.0, 0
-    for arr, ana, quota in ((x, gx, 100), (layer.slope, layer.grads["slope"], 6)):
-        w, c = _probe_coords(fn, arr, ana, rng, quota, epsilon)
-        worst, n = max(worst, w), n + c
-    return worst, n
+    return _probe_layer(layer, x, rng, (100, 6), epsilon)
 
 
 def _check_maxpool(seed, epsilon):
@@ -314,21 +300,7 @@ def _check_maxpool(seed, epsilon):
     # distinct values with gaps far beyond epsilon, so winners cannot flip
     x = 0.01 * rng.permutation(2 * 3 * 6 * 6).astype(np.float64).reshape(2, 3, 6, 6)
     x -= x.mean()
-    layer = MaxPoolLayer(3, 2)
-    cache = {}
-    y = layer.forward(x, cache)
-    proj = _projection(rng, y.shape)
-    gx = layer.backward(proj, cache)
-
-    def fn():
-        return float(np.sum(layer.forward(x, {}) * proj))
-
-    def guard():
-        c = {}
-        layer.forward(x, c)
-        return c["argmax"].tobytes()
-
-    return _probe_coords(fn, x, gx, rng, 108, epsilon, guard=guard)
+    return _probe_layer(MaxPoolLayer(3, 2), x, rng, (108,), epsilon, guard=("argmax",))
 
 
 def _check_sdropout(seed, epsilon):
@@ -350,7 +322,6 @@ def _check_sdropout(seed, epsilon):
     def fn():
         return forward_training(net, x, labels, pinned_masks=pinned)[0]
 
-    net.zero_grads()
     _, branches = forward_training(net, x, labels, pinned_masks=pinned)
     grads = backward_training(branches)
 
@@ -376,29 +347,8 @@ def _oriented_case(seed, epsilon, flip):
                 dtype=np.float64, **kwargs)
     layer.weights[...] = rng.normal(0.0, 0.7, layer.weights.shape)
     layer.bias[...] = rng.normal(0.0, 0.3, layer.bias.shape)
-    cache = {}
-    y = layer.forward(x, cache)
-    proj = _projection(rng, y.shape)
-    layer.grads = {}
-    gx = layer.backward(proj, cache)
-
-    def fn():
-        return float(np.sum(layer.forward(x, {}) * proj))
-
-    def guard():
-        c = {}
-        layer.forward(x, c)
-        parts = []
-        for key in ("rot_win", "flip_win"):
-            parts.append(c[key].tobytes() if c[key] is not None else b"")
-        return tuple(parts)
-
-    worst, n = 0.0, 0
-    for arr, ana, quota in ((x, gx, 50), (layer.weights, layer.grads["weights"], 48),
-                            (layer.bias, layer.grads["bias"], 4)):
-        w, c = _probe_coords(fn, arr, ana, rng, quota, epsilon, guard=guard)
-        worst, n = max(worst, w), n + c
-    return worst, n
+    return _probe_layer(layer, x, rng, (50, 48, 4), epsilon,
+                        guard=("rot_win", "flip_win"))
 
 
 def _check_rpc(seed, epsilon):

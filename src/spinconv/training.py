@@ -46,9 +46,12 @@ class OptimizerState:
 
 
 def sgd_momentum_step(net: Network, state: OptimizerState):
-    """v <- momentum*v - lr*g; theta <- theta + v, for every parameter."""
+    """v <- momentum*v - lr*g; theta <- theta + v, for every parameter.
+
+    Consumes the gradients: each is taken out of its layer's `grads`, so a
+    second step needs a fresh backward_training."""
     for i, name, arr in net.named_params():
-        g = net.layers[i].grads.get(name)
+        g = net.layers[i].grads.pop(name, None)
         if g is None:
             raise ConsistencyError(f"no gradient for layer {i} param {name!r}; "
                                    "run backward_training first")
@@ -126,7 +129,7 @@ class BranchSet:
 
     net: Network
     n_split: int
-    masks: dict               # layer index -> Mask used this step
+    masks: dict               # layer index -> float32 0/1 mask used this step
     logits: np.ndarray        # [2^n * N, K], block-major
     caches: list              # one dict per layer
     ce_grad: np.ndarray       # d loss / d logits
@@ -142,8 +145,9 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
 
     Returns (loss, BranchSet) where loss is the mean of the per-branch
     cross-entropy losses (2^n branches for n split layers). pinned_masks
-    maps dropout layer indices to fixed masks, used by the oracle checks;
-    unpinned layers draw from their own streams.
+    maps dropout layer indices to fixed 0/1 masks of the layer's input
+    width, used by the oracle checks; unpinned layers draw from their own
+    streams.
     """
     if net.inference:
         raise ConsistencyError("network was converted for inference; cannot train")
@@ -171,7 +175,8 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
 
 
 def backward_training(branch_set: BranchSet, input_grad: bool = True):
-    """Backpropagate the stacked batch and accumulate parameter gradients.
+    """Backpropagate the stacked batch and set every layer's parameter
+    gradients.
 
     Each block's gradient is weighted 1/2^n, matching the loss, so
     layer.grads afterwards holds the exact gradient of the returned loss.
@@ -250,7 +255,6 @@ def train_epoch(net: Network, images: np.ndarray, labels: np.ndarray,
     for start in range(0, n, state.batch_size):
         idx = perm[start:start + state.batch_size]
         x, y = images[idx], labels[idx]
-        net.zero_grads()
         loss, branches = forward_training(net, x, y)
         if not np.isfinite(loss):
             raise NumericalAbort(f"non-finite training loss {loss!r}")

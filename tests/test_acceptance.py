@@ -51,7 +51,7 @@ def test_c01_split_identity():
         d = int(rng.integers(1, 65))
         y = rng.standard_normal((n, d)).astype(
             np.float32 if rng.random() < 0.5 else np.float64)
-        out, _ = sdropout_forward(y, layer)
+        out = sdropout_forward(y, layer.draw_mask(d))
         y1, y2 = out[:n], out[n:]
         ok = ok and np.array_equal(y1 + y2, y)
         checked += 1

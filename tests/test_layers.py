@@ -7,7 +7,7 @@ from spinconv import oracle
 from spinconv import tensor_core as tc
 from spinconv.errors import ConfigError, DimensionError, InputError
 from spinconv.layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
-                             FrpcConvLayer, Mask, MaxPoolLayer, Network,
+                             FrpcConvLayer, MaxPoolLayer, Network,
                              NetworkSpec, PReluLayer, ReluLayer, RpcConvLayer,
                              dropout_forward_standard, sdropout_backward,
                              sdropout_forward)
@@ -15,7 +15,7 @@ from spinconv.tensor_core import _CHUNK
 
 
 def _mask(bits):
-    return Mask(bits=np.asarray(bits, dtype=np.float32))
+    return np.asarray(bits, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -24,29 +24,25 @@ def _mask(bits):
 
 def test_standard_dropout_all_ones_identity():
     y = np.random.default_rng(0).normal(size=(3, 4)).astype(np.float32)
-    layer = DropoutLayer(p=0.5, rng=np.random.default_rng(1))
-    out, _ = dropout_forward_standard(y, layer, _mask(np.ones(4)))
+    out = dropout_forward_standard(y, _mask(np.ones(4)))
     assert np.array_equal(out, y)
 
 
 def test_standard_dropout_all_zeros():
     y = np.ones((2, 4), np.float32)
-    layer = DropoutLayer(p=0.5, rng=np.random.default_rng(1))
-    out, _ = dropout_forward_standard(y, layer, _mask(np.zeros(4)))
+    out = dropout_forward_standard(y, _mask(np.zeros(4)))
     assert not out.any()
 
 
 def test_standard_dropout_elementwise():
     y = np.array([[1.0, 2.0, 3.0, 4.0]], np.float32)
-    layer = DropoutLayer(p=0.5, rng=np.random.default_rng(1))
-    out, _ = dropout_forward_standard(y, layer, _mask([1, 0, 1, 0]))
+    out = dropout_forward_standard(y, _mask([1, 0, 1, 0]))
     assert np.array_equal(out, np.array([[1.0, 0.0, 3.0, 0.0]], np.float32))
 
 
 def test_sdropout_elementwise_example():
     y = np.array([[1.0, 2.0, 3.0, 4.0]], np.float32)
-    layer = DropoutLayer(p=0.5, mode="split", rng=np.random.default_rng(1))
-    out, _ = sdropout_forward(y, layer, _mask([1, 0, 1, 0]))
+    out = sdropout_forward(y, _mask([1, 0, 1, 0]))
     y1, y2 = out[:1], out[1:]
     assert np.array_equal(y1, np.array([[1.0, 0.0, 3.0, 0.0]], np.float32))
     assert np.array_equal(y2, np.array([[0.0, 2.0, 0.0, 4.0]], np.float32))
@@ -54,8 +50,7 @@ def test_sdropout_elementwise_example():
 
 def test_sdropout_degenerate_all_ones():
     y = np.random.default_rng(3).normal(size=(2, 6)).astype(np.float32)
-    layer = DropoutLayer(p=0.5, mode="split", rng=np.random.default_rng(1))
-    out, _ = sdropout_forward(y, layer, _mask(np.ones(6)))
+    out = sdropout_forward(y, _mask(np.ones(6)))
     y1, y2 = out[:2], out[2:]
     assert np.array_equal(y1, y)
     assert not y2.any()
@@ -67,7 +62,7 @@ def test_sdropout_split_identity_property(seed, n, d):
     rng = np.random.default_rng(seed)
     y = rng.normal(0, 5, (n, d)).astype(np.float32)
     layer = DropoutLayer(p=0.5, mode="split", rng=np.random.default_rng(seed + 1))
-    out, _ = sdropout_forward(y, layer)
+    out = sdropout_forward(y, layer.draw_mask(d))
     assert out.shape == (2 * n, d)
     y1, y2 = out[:n], out[n:]
     assert np.array_equal(y1 + y2, y)
@@ -99,10 +94,9 @@ def test_sdropout_backward_toy_loss_finite_differences():
     y = rng.normal(size=(2, 6))
     a, b = rng.normal(size=(2, 6)), rng.normal(size=(2, 6))
     m = _mask((rng.random(6) < 0.5).astype(np.float32))
-    layer = DropoutLayer(p=0.5, mode="split", rng=np.random.default_rng(1))
 
     def fn():
-        out, _ = sdropout_forward(y, layer, m)
+        out = sdropout_forward(y, m)
         y1, y2 = out[:2], out[2:]
         return float(np.sum(a * y1) + np.sum(b * y2))
 
@@ -136,16 +130,24 @@ def test_split_mode_forces_half():
            {"kind": "fc", "out_features": 2})  # fine
 
 
-def test_mask_rejects_non_binary():
-    with pytest.raises(InputError):
-        Mask(bits=np.array([0.5, 1.0], np.float32))
+def test_pinned_mask_rejects_non_binary_and_wrong_width():
+    from spinconv.training import forward_training
+    x = np.zeros((2, 1, 8, 8), np.float32)
+    labels = np.array([0, 1])
+    for mode in ("standard", "split"):
+        net = _build(*_FLAT, {"kind": "dropout", "p": 0.5, "mode": mode},
+                     {"kind": "fc", "out_features": 2})
+        with pytest.raises(InputError):
+            forward_training(net, x, labels, pinned_masks={2: [0.5, 1, 0, 1]})
+        with pytest.raises(DimensionError):
+            forward_training(net, x, labels, pinned_masks={2: [1, 0, 1]})
 
 
 def test_mask_draw_determinism():
     l1 = DropoutLayer(p=0.5, rng=np.random.default_rng(9))
     l2 = DropoutLayer(p=0.5, rng=np.random.default_rng(9))
     for _ in range(5):
-        assert np.array_equal(l1.draw_mask(32).bits, l2.draw_mask(32).bits)
+        assert np.array_equal(l1.draw_mask(32), l2.draw_mask(32))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +594,6 @@ def test_oriented_kernel5_gradients_match_finite_differences(name):
     proj = rng.uniform(0.5, 1.5, (2, 4, 6, 6)) * rng.choice([-1.0, 1.0], (2, 4, 6, 6))
     cache = {}
     layer.forward(x, cache)
-    layer.grads = {}
     gx = layer.backward(proj, cache)
 
     def loss():

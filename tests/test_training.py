@@ -124,7 +124,7 @@ def test_branch_count_is_two_to_the_n():
         (-1, -1), (-1, +1), (+1, -1), (+1, +1)]
     # each branch's logits are the plain forward under that branch's masks
     fcs = [net.layers[i] for i in (1, 3, 5)]
-    masks = [branches.masks[i].bits.astype(np.float64) for i in (2, 4)]
+    masks = [branches.masks[i].astype(np.float64) for i in (2, 4)]
     for branch in records:
         act = x.reshape(2, 4)
         for fc, m, sign in zip(fcs, masks + [None], branch["path"] + (None,)):
@@ -302,6 +302,24 @@ def test_sgd_requires_gradients():
     net = _one_weight_net()
     with pytest.raises(ConsistencyError):
         tr.sgd_momentum_step(net, tr.OptimizerState())
+
+
+def test_step_takes_gradients_once():
+    net = _flat_net([{"kind": "fc", "out_features": 5},
+                     {"kind": "dropout", "mode": "split"},
+                     {"kind": "fc", "out_features": 3}], width=6)
+    rng = np.random.default_rng(13)
+    images = _vecs(rng, 6, 6)
+    labels = rng.integers(0, 3, size=6)
+    state = tr.OptimizerState(learning_rate=0.1, momentum=0.9, batch_size=4)
+    _, branches = tr.forward_training(net, images[:4], labels[:4])
+    tr.backward_training(branches)
+    tr.sgd_momentum_step(net, state)
+    # a step without a fresh backward must not re-apply stale gradients
+    with pytest.raises(ConsistencyError, match="run backward_training first"):
+        tr.sgd_momentum_step(net, state)
+    tr.train_epoch(net, images, labels, state)
+    assert all(layer.grads == {} for layer in net.layers)
 
 
 # ---------------------------------------------------------------------------
