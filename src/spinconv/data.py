@@ -105,10 +105,7 @@ def _soft(dist, radius, softness=0.35):
 
 def _segment_dist(px, py, x0, y0, x1, y1):
     dx, dy = x1 - x0, y1 - y0
-    denom = dx * dx + dy * dy
-    if denom < 1e-12:
-        return np.hypot(px - x0, py - y0)
-    t = np.clip(((px - x0) * dx + (py - y0) * dy) / denom, 0.0, 1.0)
+    t = np.clip(((px - x0) * dx + (py - y0) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
     return np.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
 
 
@@ -200,15 +197,15 @@ def _bilinear_gather(planes: np.ndarray, row_s: np.ndarray, col_s: np.ndarray):
     c0 = np.floor(col_s).astype(int)
     fr = row_s - r0
     fc = col_s - c0
+    # a border of 2 zero pixels: a tap pair whose top-left index is clipped
+    # to -2 or to the far edge lands wholly outside the frame
+    padded = np.pad(np.asarray(planes, dtype=np.float64), ((0, 0), (2, 2), (2, 2)))
+    r0 = np.clip(r0, -2, h) + 2
+    c0 = np.clip(c0, -2, w) + 2
     out = np.zeros((m, row_s.size), dtype=np.float64)
-    p64 = np.asarray(planes, dtype=np.float64)
     for dr, dc, wt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        rr, cc = r0 + dr, c0 + dc
-        ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        if not ok.any():
-            continue
-        out[:, ok] += wt[ok] * p64[:, rr[ok], cc[ok]]
+        out += wt * padded[:, r0 + dr, c0 + dc]
     return out
 
 

@@ -1,13 +1,14 @@
 """Network layers: convolution, pool, fc, activations, and dropout in
 standard and split mode.
 
-Layers hold parameters but no per-call activation state: `forward(x,
-cache)` writes whatever the matching backward needs into the caller-owned
-`cache` dict, and `backward(grad_out, cache)` reads it back and sets
-`layer.grads` to the parameter gradients, which the optimizer step takes.
-`infer(x)` returns the same output as `forward` and keeps nothing for a
-backward; max-pooling and orientation pooling use it to skip their winner
-scans.
+Layers hold only parameters, filter selections and a dropout layer's mask
+stream. Everything else belongs to one call: `forward(x, cache)` writes
+whatever the matching backward needs into the caller-owned `cache` dict,
+and `backward(grad_out, cache)` reads it back and writes the parameter
+gradients into `cache["grads"]`, so calls that interleave on one layer
+keep apart. `infer(x)` returns the same output as `forward` and keeps
+nothing for a backward; max-pooling and orientation pooling use it to
+skip their winner scans.
 
 Split-mode dropout maps R rows to 2R rows, the masked rows stacked over
 their complement, so every later layer runs both branches of the split as
@@ -41,9 +42,6 @@ from .tensor_core import (ConvParams, _output_size, conv2d_backward,
 class Layer:
     kind = "base"
 
-    def __init__(self):
-        self.grads: dict = {}
-
     def forward(self, x, cache: dict):
         raise NotImplementedError
 
@@ -52,8 +50,8 @@ class Layer:
         return self.forward(x, {})
 
     def backward(self, grad_out, cache: dict):
-        """The input gradient. Layers with parameters set `self.grads` to
-        name -> gradient of every parameter, and also take
+        """The input gradient. Layers with parameters set `cache["grads"]`
+        to name -> gradient of every parameter, and also take
         `input_grad=False`, which sets them and returns None."""
         raise NotImplementedError
 
@@ -72,17 +70,16 @@ class DropoutLayer(Layer):
     only holds when a mask and its complement are equally likely; the
     config's layer table checks p and mode.
 
-    A mask is a float32 0/1 array over the layer's input units, shared
-    across the batch. forward uses `cache["mask"]` when the caller pinned
-    one (any 0/1 array-like, else InputError) and draws a fresh mask from
-    the layer's own stream otherwise; either way `cache["mask"]` then holds
-    the float32 array.
+    A mask is a 0/1 array over the layer's input units, shared across the
+    batch. The caller puts it in `cache["mask"]` before forward, either
+    pinned or from `draw_mask`, which takes the next mask of the layer's
+    own stream; forward refuses a cache without one (ConsistencyError) or
+    with other values (InputError), and leaves the float32 array there.
     """
 
     kind = "dropout"
 
     def __init__(self, p: float = 0.5, mode: str = "standard", rng=None):
-        super().__init__()
         self.p = p
         self.mode = mode
         self.rng_stream = rng if rng is not None else np.random.default_rng(0)
@@ -91,13 +88,11 @@ class DropoutLayer(Layer):
         return (self.rng_stream.random(d) < self.p).astype(np.float32)
 
     def forward(self, x, cache):
-        mask = cache.get("mask")
-        if mask is None:
-            mask = self.draw_mask(x.shape[1])
-        else:
-            mask = np.asarray(mask, dtype=np.float32)
-            if not np.all((mask == 0) | (mask == 1)):
-                raise InputError("mask bits must be 0 or 1")
+        if "mask" not in cache:
+            raise ConsistencyError("dropout forward called without a mask")
+        mask = np.asarray(cache["mask"], dtype=np.float32)
+        if not np.all((mask == 0) | (mask == 1)):
+            raise InputError("mask bits must be 0 or 1")
         if self.mode == "split":
             y = sdropout_forward(x, mask)
         else:
@@ -189,7 +184,6 @@ class _OrientedConv(Layer):
     def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
                  rotate_fraction=0.0, flip_fraction=0.0, rng=None,
                  dtype=np.float32):
-        super().__init__()
         self.weights = np.zeros((out_channels, in_channels, kernel, kernel), dtype)
         self.bias = np.zeros(out_channels, dtype)
         self.stride = stride
@@ -236,22 +230,18 @@ class _OrientedConv(Layer):
         for f, _, key in self._banks:
             wins[key] = np.empty((len(x), len(f), h, w), np.int8)
         out = conv2d_forward(x, params, self._conv_banks(wins))
-        cache.update(wins, x=x, out_shape=out.shape)
+        cache.update(wins, x=x)
         return out
 
     def infer(self, x):
         return conv2d_forward(x, self.conv_params(), self._conv_banks({}))
 
     def backward(self, grad_out, cache, input_grad=True):
-        if "out_shape" not in cache:
+        if "x" not in cache:
             raise ConsistencyError("conv backward called without a matching forward")
-        if grad_out.shape != cache["out_shape"]:
-            raise ConsistencyError(
-                f"grad_out shape {grad_out.shape} does not match cached forward "
-                f"output {cache['out_shape']}; stale cache?")
         gx, gw, gb = conv2d_backward(grad_out, cache["x"], self.conv_params(),
                                      self._conv_banks(cache), input_grad)
-        self.grads = {"weights": gw, "bias": gb}
+        cache["grads"] = {"weights": gw, "bias": gb}
         return gx
 
 
@@ -279,7 +269,6 @@ class MaxPoolLayer(Layer):
     kind = "maxpool"
 
     def __init__(self, window: int, stride: int):
-        super().__init__()
         self.window = window
         self.stride = stride
 
@@ -313,7 +302,6 @@ class PReluLayer(Layer):
     kind = "prelu"
 
     def __init__(self, channels: int, dtype=np.float32):
-        super().__init__()
         self.slope = np.full(channels, 0.25, dtype)
 
     def params(self):
@@ -325,7 +313,7 @@ class PReluLayer(Layer):
 
     def backward(self, grad_out, cache, input_grad=True):
         gx, gs = prelu_backward(grad_out, cache["x"], self.slope)
-        self.grads = {"slope": gs}
+        cache["grads"] = {"slope": gs}
         return gx if input_grad else None
 
 
@@ -344,7 +332,6 @@ class FcLayer(Layer):
     kind = "fc"
 
     def __init__(self, in_features: int, out_features: int, dtype=np.float32):
-        super().__init__()
         self.weights = np.zeros((out_features, in_features), dtype)
         self.bias = np.zeros(out_features, dtype)
 
@@ -359,7 +346,7 @@ class FcLayer(Layer):
         if "x" not in cache:
             raise ConsistencyError("fc backward called without a matching forward")
         gx, gw, gb = fc_backward(grad_out, cache["x"], self.weights, input_grad)
-        self.grads = {"weights": gw, "bias": gb}
+        cache["grads"] = {"weights": gw, "bias": gb}
         return gx
 
 

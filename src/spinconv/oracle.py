@@ -248,7 +248,7 @@ def _probe_layer(layer, x, rng, quotas, epsilon, guard=None):
         layer.forward(x, c)
         return tuple(b"" if c[key] is None else c[key].tobytes() for key in guard)
 
-    targets = [(x, gx)] + [(arr, layer.grads[name]) for name, arr in layer.params().items()]
+    targets = [(x, gx)] + [(arr, cache["grads"][name]) for name, arr in layer.params().items()]
     worst, n = 0.0, 0
     for (arr, ana), quota in zip(targets, quotas, strict=True):
         w, c = _probe_coords(fn, arr, ana, rng, quota, epsilon,

@@ -9,6 +9,10 @@ complement at split s exactly when bit s of j is set. The step loss is the
 arithmetic mean of the per-block cross-entropy losses, so every parameter
 receives gradient every step. One mask is drawn per dropout layer per batch,
 in layer order, and shared by all blocks that reach it.
+
+The step owns every per-step value, and each is consumed once: the
+forward fills one cache per layer, the backward drops each once used and
+returns the gradients, and the optimizer step pops those from the dict.
 """
 from __future__ import annotations
 
@@ -45,13 +49,14 @@ class OptimizerState:
     velocities: dict = field(default_factory=dict)
 
 
-def sgd_momentum_step(net: Network, state: OptimizerState):
+def sgd_momentum_step(net: Network, state: OptimizerState, grads: dict):
     """v <- momentum*v - lr*g; theta <- theta + v, for every parameter.
 
-    Consumes the gradients: each is taken out of its layer's `grads`, so a
-    second step needs a fresh backward_training."""
+    Consumes the gradients: each is popped from `grads`, the
+    {(layer_index, name): gradient} dict of backward_training, so a second
+    step with the same dict needs a fresh backward_training."""
     for i, name, arr in net.named_params():
-        g = net.layers[i].grads.pop(name, None)
+        g = grads.pop((i, name), None)
         if g is None:
             raise ConsistencyError(f"no gradient for layer {i} param {name!r}; "
                                    "run backward_training first")
@@ -131,7 +136,7 @@ class BranchSet:
     n_split: int
     masks: dict               # layer index -> float32 0/1 mask used this step
     logits: np.ndarray        # [2^n * N, K], block-major
-    caches: list              # one dict per layer
+    caches: list              # one dict per layer; None once backward_training ran
     ce_grad: np.ndarray       # d loss / d logits
     input_grad: np.ndarray = None  # set by backward_training
 
@@ -146,16 +151,20 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
     Returns (loss, BranchSet) where loss is the mean of the per-branch
     cross-entropy losses (2^n branches for n split layers). pinned_masks
     maps dropout layer indices to fixed 0/1 masks of the layer's input
-    width, used by the oracle checks; unpinned layers draw from their own
-    streams.
+    width, used by the oracle checks; an unpinned layer draws the next mask
+    of its own stream when the chain reaches it.
     """
     if net.inference:
         raise ConsistencyError("network was converted for inference; cannot train")
     pinned = pinned_masks or {}
-    caches = [{"mask": pinned[i]} if i in pinned else {} for i in range(len(net.layers))]
+    caches = []
     act = batch
-    for layer, cache in zip(net.layers, caches):
+    for i, layer in enumerate(net.layers):
+        cache = {}
+        if isinstance(layer, DropoutLayer):
+            cache["mask"] = pinned[i] if i in pinned else layer.draw_mask(act.shape[1])
         act = layer.forward(act, cache)
+        caches.append(cache)
     n_split = len(net.split_layers())
     blocks, rows = 2 ** n_split, len(labels)
     if act.shape[0] != blocks * rows:
@@ -175,28 +184,31 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
 
 
 def backward_training(branch_set: BranchSet, input_grad: bool = True):
-    """Backpropagate the stacked batch and set every layer's parameter
-    gradients.
+    """Backpropagate the stacked batch and return the parameter gradients
+    as {(layer_index, name): gradient}, the dict sgd_momentum_step takes.
 
-    Each block's gradient is weighted 1/2^n, matching the loss, so
-    layer.grads afterwards holds the exact gradient of the returned loss.
-    The gradient of the network input goes to `branch_set.input_grad`;
-    without `input_grad` the chain ends at the first layer with parameters,
-    which skips its own input gradient, and `input_grad` stays None.
-    Returns {(layer_index, name): gradient} for inspection.
+    Each block's gradient is weighted 1/2^n, matching the loss, so these
+    are the exact gradients of the returned loss. The backward consumes
+    the caches: `branch_set.caches` is None from the start, and each
+    layer's cache is dropped once its backward has run, so a second call
+    on one BranchSet raises ConsistencyError. The gradient of the network
+    input goes to `branch_set.input_grad`; without `input_grad` the chain
+    ends at the first layer with parameters, which skips its own input
+    gradient, and `input_grad` stays None.
     """
-    net = branch_set.net
+    net, caches = branch_set.net, branch_set.caches
+    if caches is None:
+        raise ConsistencyError("backward_training already ran on this branch set")
+    branch_set.caches = None
     last = None if input_grad else \
         next((i for i, layer in enumerate(net.layers) if layer.params()), None)
-    g = branch_set.ce_grad
-    for i in reversed(range(len(net.layers))):
-        if i == last:
-            g = net.layers[i].backward(g, branch_set.caches[i], input_grad=False)
-            break
-        g = net.layers[i].backward(g, branch_set.caches[i])
+    g, grads = branch_set.ce_grad, {}
+    for i in reversed(range(last or 0, len(net.layers))):
+        layer, cache, caches[i] = net.layers[i], caches[i], None
+        g = layer.backward(g, cache, input_grad=False) if i == last else layer.backward(g, cache)
+        grads.update(((i, name), grad) for name, grad in cache.get("grads", {}).items())
     branch_set.input_grad = g
-    return {(i, name): net.layers[i].grads[name]
-            for i, name, _ in net.named_params()}
+    return grads
 
 
 def mean_branch_probabilities(branch_set: BranchSet) -> np.ndarray:
@@ -258,8 +270,7 @@ def train_epoch(net: Network, images: np.ndarray, labels: np.ndarray,
         loss, branches = forward_training(net, x, y)
         if not np.isfinite(loss):
             raise NumericalAbort(f"non-finite training loss {loss!r}")
-        backward_training(branches, input_grad=False)
-        sgd_momentum_step(net, state)
+        sgd_momentum_step(net, state, backward_training(branches, input_grad=False))
         loss_sum += loss * len(idx)
         preds = mean_branch_probabilities(branches).argmax(axis=1)
         correct += int((preds == y).sum())

@@ -181,7 +181,7 @@ def test_c07_full_update():
         before = {(i, n): a.copy() for i, n, a in net.named_params()}
         _, branches = forward_training(net, batch, labels, pinned_masks=pinned)
         grads = backward_training(branches)
-        sgd_momentum_step(net, OptimizerState(learning_rate=0.1, momentum=0.0))
+        sgd_momentum_step(net, OptimizerState(learning_rate=0.1, momentum=0.0), dict(grads))
         after = {(i, n): a.copy() for i, n, a in net.named_params()}
         return before, after, grads
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from spinconv import oracle
 from spinconv import tensor_core as tc
-from spinconv.errors import ConfigError, DimensionError, InputError
+from spinconv.errors import (ConfigError, ConsistencyError, DimensionError,
+                             InputError)
 from spinconv.layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
                              FrpcConvLayer, MaxPoolLayer, Network,
                              NetworkSpec, PReluLayer, ReluLayer, RpcConvLayer,
@@ -150,6 +151,16 @@ def test_mask_draw_determinism():
         assert np.array_equal(l1.draw_mask(32), l2.draw_mask(32))
 
 
+@pytest.mark.parametrize("mode", ["standard", "split"])
+def test_dropout_forward_draws_no_mask(mode):
+    # the training step draws every mask; the layer only applies one
+    layer = DropoutLayer(p=0.5, mode=mode, rng=np.random.default_rng(9))
+    with pytest.raises(ConsistencyError, match="without a mask"):
+        layer.forward(np.ones((2, 4), np.float32), {})
+    assert np.array_equal(layer.draw_mask(32),
+                          DropoutLayer(p=0.5, rng=np.random.default_rng(9)).draw_mask(32))
+
+
 # ---------------------------------------------------------------------------
 # Tie-breaking
 # ---------------------------------------------------------------------------
@@ -212,7 +223,7 @@ def test_no_pooled_filter_is_plain_conv(kind, n, dtype):
     _assert_same_bytes(layer.infer(x), ref)
     g = rng.normal(size=ref.shape).astype(dtype)
     gx = layer.backward(g, cache)
-    for got, want in zip((gx, layer.grads["weights"], layer.grads["bias"]),
+    for got, want in zip((gx, cache["grads"]["weights"], cache["grads"]["bias"]),
                          tc.conv2d_backward(g, x, layer.conv_params())):
         _assert_same_bytes(got, want)
 
@@ -253,8 +264,8 @@ def test_rpc_backward_zero_grad():
     y = layer.forward(x, cache)
     gx = layer.backward(np.zeros_like(y), cache)
     assert not gx.any()
-    assert not layer.grads["weights"].any()
-    assert not layer.grads["bias"].any()
+    assert not cache["grads"]["weights"].any()
+    assert not cache["grads"]["bias"].any()
 
 
 def test_rpc_backward_symmetric_filter_equals_plain_conv():
@@ -271,8 +282,8 @@ def test_rpc_backward_symmetric_filter_equals_plain_conv():
     gx1 = layer.backward(g, c1)
     gx2 = plain.backward(g, c2)
     assert np.allclose(gx1, gx2, atol=1e-12)
-    assert np.allclose(layer.grads["weights"], plain.grads["weights"], atol=1e-12)
-    assert np.allclose(layer.grads["bias"], plain.grads["bias"], atol=1e-12)
+    assert np.allclose(c1["grads"]["weights"], c2["grads"]["weights"], atol=1e-12)
+    assert np.allclose(c1["grads"]["bias"], c2["grads"]["bias"], atol=1e-12)
 
 
 def test_rpc_backward_stale_cache():
@@ -281,6 +292,37 @@ def test_rpc_backward_stale_cache():
     x = np.random.default_rng(15).normal(size=(1, 1, 5, 5))
     with pytest.raises(ConsistencyError):
         layer.backward(np.zeros((1, 1, 5, 5)), {})
+
+
+def test_rpc_backward_rejects_wrong_grad_shape():
+    layer = _rpc(1, 2, r=0.5, seed=14, pad=1)
+    x = np.random.default_rng(15).normal(size=(2, 1, 5, 5))
+    cache = {}
+    y = layer.forward(x, cache)
+    with pytest.raises(DimensionError, match="grad_out shape"):
+        layer.backward(np.zeros(y.shape[:-1] + (y.shape[-1] + 1,)), cache)
+
+
+@pytest.mark.parametrize("name", ["rpc", "frpc"])
+def test_interleaved_calls_keep_gradients_apart(name):
+    # each call's winner maps and gradients live in its own cache, so two
+    # steps may interleave on one layer
+    layer = _oriented(name)
+    rng = np.random.default_rng(38)
+    xa, xb = rng.normal(size=(2, 2, 2, 6, 6))
+    ga, gb = rng.normal(size=(2, 2, 4, 6, 6))
+    solo = {}
+    layer.forward(xa, solo)
+    solo_gx = layer.backward(ga, solo)
+    ca, cb = {}, {}
+    layer.forward(xa, ca)
+    layer.forward(xb, cb)
+    layer.backward(gb, cb)
+    gx = layer.backward(ga, ca)
+    assert gx.tobytes() == solo_gx.tobytes()
+    for key in ("weights", "bias"):
+        assert ca["grads"][key].tobytes() == solo["grads"][key].tobytes(), key
+        assert cb["grads"][key].tobytes() != ca["grads"][key].tobytes(), key
 
 
 @pytest.mark.parametrize("cls,fractions", [
@@ -604,8 +646,8 @@ def test_oriented_kernel5_gradients_match_finite_differences(name):
             assert c[key] is None or np.array_equal(c[key], cache[key]), key
         return value
 
-    for arr, analytic in ((x, gx), (layer.weights, layer.grads["weights"]),
-                          (layer.bias, layer.grads["bias"])):
+    for arr, analytic in ((x, gx), (layer.weights, cache["grads"]["weights"]),
+                          (layer.bias, cache["grads"]["bias"])):
         numeric = oracle.finite_difference(loss, arr)
         assert oracle.relative_error(numeric, analytic).max() <= 1e-4
 
