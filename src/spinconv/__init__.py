@@ -1,22 +1,7 @@
 """Small-CNN toolkit: split dropout training and rotation-pooling convolutions.
 
-Submodules are loaded lazily so that the CLI can pin thread-count
+The package imports no submodule, so that the CLI can pin thread-count
 environment variables before numpy is first imported.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = ("checkpoint", "cli", "config", "data", "errors", "evaluation",
-               "kernel_transforms", "layers", "oracle", "tensor_core",
-               "training")
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -27,22 +27,23 @@ def _pin_threads(n: int):
         os.environ[var] = str(n)
 
 
-def _load_dataset(dcfg: dict):
+def _dataset(dcfg: dict, spec, name, mean_image=None):
+    """The dataset `dcfg` describes (IDX or synthetic), preprocessed with its
+    own mean or the one given. Exit 2 unless every label indexes one of the
+    outputs of the network `spec`, the first axis of its final output shape."""
     from . import data
-    if dcfg["kind"] == "idx":
-        return data.load_idx(dcfg["images"], dcfg["labels"])
-    return data.make_rotated_shapes(dcfg["n_per_class"], dcfg["seed"])
-
-
-def _check_labels(labels, input_shape, layers, name):
-    """Exit 2 unless every label indexes one of the network's outputs; the
-    width is the first axis of the final output shape."""
     from .config import network_shapes
-    width = network_shapes(input_shape, layers, "network")[-1][2][0]
+    if dcfg["kind"] == "idx":
+        ds = data.load_idx(dcfg["images"], dcfg["labels"])
+    else:
+        ds = data.make_rotated_shapes(dcfg["n_per_class"], dcfg["seed"])
+    ds = data.preprocess(ds, mean_image)
+    labels = ds.labels
+    width = network_shapes(spec.input_shape, spec.layers, "network")[-1][2][0]
     if labels.size and (labels.min() < 0 or labels.max() >= width):
         raise ConfigError(f"{name}: labels must lie in [0, {width}) for a network "
                           f"with {width} outputs, got [{labels.min()}, {labels.max()}]")
-    return width
+    return ds
 
 
 def cmd_train(args) -> int:
@@ -55,15 +56,13 @@ def cmd_train(args) -> int:
     from . import checkpoint, data, training
     from .layers import NetworkSpec
 
-    train_ds = data.preprocess(_load_dataset(cfg.dataset))
-    _check_labels(train_ds.labels, cfg.input_shape, cfg.layers, "config.dataset")
+    spec = NetworkSpec(input_shape=cfg.input_shape, layers=cfg.layers)
+    train_ds = _dataset(cfg.dataset, spec, "config.dataset")
     val_images = val_labels = None
     if cfg.val_dataset is not None:
-        val_ds = data.preprocess(_load_dataset(cfg.val_dataset), train_ds.mean_image)
-        _check_labels(val_ds.labels, cfg.input_shape, cfg.layers, "config.val_dataset")
+        val_ds = _dataset(cfg.val_dataset, spec, "config.val_dataset", train_ds.mean_image)
         val_images, val_labels = val_ds.images, val_ds.labels
 
-    spec = NetworkSpec(input_shape=cfg.input_shape, layers=cfg.layers)
     net = training.init_weights(spec, cfg.seed)
     state = training.OptimizerState(learning_rate=cfg.learning_rate,
                                     momentum=cfg.momentum,
@@ -113,42 +112,40 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_inference_net(checkpoint_path):
-    from . import checkpoint as ckpt_mod
+def _evaluation_inputs(args):
+    """The checkpoint's inference network, its metadata, and the IDX pair
+    preprocessed with the checkpoint's training mean image."""
+    from .checkpoint import load_checkpoint
     from .training import to_inference
-    net, meta = ckpt_mod.load_checkpoint(checkpoint_path)
+    net, meta = load_checkpoint(args.checkpoint)
     if meta["mean_image"] is None:
-        raise ConfigError(f"checkpoint {checkpoint_path} carries no training "
+        raise ConfigError(f"checkpoint {args.checkpoint} carries no training "
                           "mean image; cannot preprocess evaluation data")
-    return to_inference(net), meta
+    net = to_inference(net)
+    ds = _dataset({"kind": "idx", "images": args.images, "labels": args.labels},
+                  net.spec, args.labels, meta["mean_image"])
+    return net, meta, ds
 
 
 def cmd_eval(args) -> int:
-    from . import data, evaluation
+    from . import evaluation
 
-    net, meta = _load_inference_net(args.checkpoint)
-    ds = data.preprocess(data.load_idx(args.images, args.labels),
-                         meta["mean_image"])
-    n_classes = _check_labels(ds.labels, net.spec.input_shape, net.spec.layers,
-                              args.labels)
+    net, _, ds = _evaluation_inputs(args)
     predict = (evaluation.ten_view_probabilities if args.ten_view
                else evaluation.predict_logits)
     scores = predict(net, ds.images, args.batch_size)
     top1 = evaluation.top_k_accuracy(scores, ds.labels, 1)
-    top5 = evaluation.top_k_accuracy(scores, ds.labels, min(5, n_classes))
+    top5 = evaluation.top_k_accuracy(scores, ds.labels, min(5, scores.shape[1]))
     print("top1,top5")
     print(f"{top1:.6f},{top5:.6f}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    from . import data, evaluation
+    from . import evaluation
 
     angles = evaluation.sweep_angles(args.angles)
-    net, meta = _load_inference_net(args.checkpoint)
-    ds = data.preprocess(data.load_idx(args.images, args.labels),
-                         meta["mean_image"])
-    _check_labels(ds.labels, net.spec.input_shape, net.spec.layers, args.labels)
+    net, meta, ds = _evaluation_inputs(args)
     report = evaluation.rotation_sweep(net, ds, angles, batch_size=args.batch_size)
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_csv())

@@ -14,6 +14,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 SHAPE_CLASSES = ("bar", "l_corner", "t_junction", "disk")
+SHAPE_SIZE = 28
 
 
 @dataclass
@@ -114,7 +115,7 @@ _ARM_ANGLES = {0: (0.0, 180.0),        # bar: straight line through the center
                2: (0.0, 90.0, 180.0)}  # t_junction
 
 
-def make_rotated_shapes(n_per_class: int, seed: int, size: int = 28) -> Dataset:
+def make_rotated_shapes(n_per_class: int, seed: int) -> Dataset:
     """Four 28x28 shape classes for rotation-robustness experiments: bar,
     L-corner, T-junction (arms radiating from near the image center), and a
     centered disk.
@@ -125,9 +126,9 @@ def make_rotated_shapes(n_per_class: int, seed: int, size: int = 28) -> Dataset:
     making IDX round trips exact. Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    rows, cols = np.mgrid[0:size, 0:size].astype(np.float64)
-    center = (size - 1) / 2.0
-    images = np.empty((4 * n_per_class, 1, size, size), dtype=np.float32)
+    rows, cols = np.mgrid[0:SHAPE_SIZE, 0:SHAPE_SIZE].astype(np.float64)
+    center = (SHAPE_SIZE - 1) / 2.0
+    images = np.empty((4 * n_per_class, 1, SHAPE_SIZE, SHAPE_SIZE), dtype=np.float32)
     labels = np.empty(4 * n_per_class, dtype=np.int64)
 
     i = 0
@@ -141,7 +142,7 @@ def make_rotated_shapes(n_per_class: int, seed: int, size: int = 28) -> Dataset:
                 cx = center + rng.uniform(-2.0, 2.0)
                 cy = center + rng.uniform(-2.0, 2.0)
                 thickness = rng.uniform(1.5, 2.1)
-                img = np.zeros((size, size))
+                img = np.zeros((SHAPE_SIZE, SHAPE_SIZE))
                 for ang in _ARM_ANGLES[label]:
                     theta = np.deg2rad(ang)
                     length = rng.uniform(7.0, 10.0)

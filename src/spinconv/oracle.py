@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ConsistencyError, InputError
 from .layers import (ConvLayer, DropoutLayer, FcLayer, MaxPoolLayer, Network,
-                     NetworkSpec, PReluLayer, RpcConvLayer, FrpcConvLayer)
-from .tensor_core import ConvParams, relu_backward, relu_forward
+                     NetworkSpec, PReluLayer, ReluLayer, RpcConvLayer, FrpcConvLayer)
+from .tensor_core import ConvParams
 from .training import backward_training, forward_training
 
 EPSILON_DEFAULT = 1e-3
@@ -169,52 +169,52 @@ def oriented_conv_reference(x: np.ndarray, layer) -> np.ndarray:
 # Finite differences
 # ---------------------------------------------------------------------------
 
-def finite_difference(fn, params: np.ndarray, epsilon: float = EPSILON_DEFAULT):
-    """Central-difference gradient of a scalar function over every
-    coordinate of `params` (perturbed in place and restored)."""
-    flat = params.reshape(-1)
-    grad = np.empty(flat.shape, dtype=np.float64)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        f_plus = fn()
-        flat[i] = orig - epsilon
-        f_minus = fn()
-        flat[i] = orig
-        grad[i] = (f_plus - f_minus) / (2.0 * epsilon)
-    return grad.reshape(params.shape)
-
-
 class _WinnerFlip(Exception):
     """A finite-difference probe changed an argmax decision; the random
     case must be redrawn."""
 
 
-def _probe_coords(fn, arr, analytic, rng, n_coords, epsilon, guard=None):
-    """Max relative error between sampled central differences and the
-    analytic gradient. `guard()` returns a token of the discrete decisions
-    inside fn; if a probe changes it, the case is rejected."""
-    flat = arr.reshape(-1)
-    ana = np.asarray(analytic, dtype=np.float64).reshape(-1)
-    idx = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
-    base_token = guard() if guard is not None else None
-    worst = 0.0
-    for i in idx:
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        f_plus = fn()
-        if guard is not None and guard() != base_token:
+def _central(fn, flat, i, epsilon, stable=None):
+    """Central difference of fn over coordinate i of the flat view `flat`,
+    restored afterwards. `stable()` says whether the discrete decisions
+    inside fn are still the unperturbed ones; a probe that changes one
+    rejects the case."""
+    orig = flat[i]
+    values = []
+    for value in (orig + epsilon, orig - epsilon):
+        flat[i] = value
+        values.append(fn())
+        if stable is not None and not stable():
             flat[i] = orig
             raise _WinnerFlip
-        flat[i] = orig - epsilon
-        f_minus = fn()
-        if guard is not None and guard() != base_token:
-            flat[i] = orig
-            raise _WinnerFlip
-        flat[i] = orig
-        est = (f_plus - f_minus) / (2.0 * epsilon)
-        worst = max(worst, float(relative_error(est, ana[i])))
-    return worst, len(idx)
+    flat[i] = orig
+    return (values[0] - values[1]) / (2.0 * epsilon)
+
+
+def finite_difference(fn, params: np.ndarray, epsilon: float = EPSILON_DEFAULT):
+    """Central-difference gradient of a scalar function over every
+    coordinate of `params` (perturbed in place and restored)."""
+    flat = params.reshape(-1)
+    grad = np.array([_central(fn, flat, i, epsilon) for i in range(flat.size)],
+                    dtype=np.float64)
+    return grad.reshape(params.shape)
+
+
+def _probe(fn, targets, quotas, rng, stable=None):
+    """Max relative error, and the number of coordinates probed, between
+    sampled central differences of fn and the analytic gradients of
+    `targets`, (array, gradient) pairs; `quotas` gives the coordinates per
+    array."""
+    worst, n = 0.0, 0
+    for (arr, analytic), quota in zip(targets, quotas, strict=True):
+        flat = arr.reshape(-1)
+        ana = np.asarray(analytic, dtype=np.float64).reshape(-1)
+        idx = rng.choice(flat.size, size=min(quota, flat.size), replace=False)
+        for i in idx:
+            est = _central(fn, flat, i, EPSILON_DEFAULT, stable)
+            worst = max(worst, float(relative_error(est, ana[i])))
+        n += len(idx)
+    return worst, n
 
 
 def _projection(rng, shape):
@@ -230,7 +230,7 @@ def _away_from_zero(x, margin):
 # Per-layer gradient checks
 # ---------------------------------------------------------------------------
 
-def _probe_layer(layer, x, rng, quotas, epsilon, guard=None):
+def _probe_layer(layer, x, rng, quotas, guard=None):
     """Max relative error of one layer's backward against central
     differences of sum(forward(x) * P) for a random projection P. Probes x,
     then each entry of `layer.params()` in order, `quotas` giving the
@@ -243,67 +243,56 @@ def _probe_layer(layer, x, rng, quotas, epsilon, guard=None):
     def fn():
         return float(np.sum(layer.forward(x, {}) * proj))
 
-    def token():
+    def stable():
         c = {}
         layer.forward(x, c)
-        return tuple(b"" if c[key] is None else c[key].tobytes() for key in guard)
+        return all(np.array_equal(c[key], cache[key]) for key in guard)
 
     targets = [(x, gx)] + [(arr, cache["grads"][name]) for name, arr in layer.params().items()]
-    worst, n = 0.0, 0
-    for (arr, ana), quota in zip(targets, quotas, strict=True):
-        w, c = _probe_coords(fn, arr, ana, rng, quota, epsilon,
-                             guard=token if guard else None)
-        worst, n = max(worst, w), n + c
-    return worst, n
+    return _probe(fn, targets, quotas, rng, stable if guard else None)
 
 
-def _check_conv(seed, epsilon):
+def _check_conv(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (2, 3, 6, 7))
     layer = ConvLayer(3, 4, 3, stride=2, pad=1, dtype=np.float64)
     layer.weights[...] = rng.normal(0.0, 0.5, layer.weights.shape)
     layer.bias[...] = rng.normal(0.0, 0.5, layer.bias.shape)
-    return _probe_layer(layer, x, rng, (50, 50, 4), epsilon)
+    return _probe_layer(layer, x, rng, (50, 50, 4))
 
 
-def _check_fc(seed, epsilon):
+def _check_fc(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (5, 9))
     layer = FcLayer(9, 7, dtype=np.float64)
     layer.weights[...] = rng.normal(0.0, 0.5, layer.weights.shape)
     layer.bias[...] = rng.normal(0.0, 0.5, layer.bias.shape)
-    return _probe_layer(layer, x, rng, (45, 55, 7), epsilon)
+    return _probe_layer(layer, x, rng, (45, 55, 7))
 
 
-def _check_relu(seed, epsilon):
+def _check_relu(seed):
     rng = np.random.default_rng(seed)
     x = _away_from_zero(rng.normal(0.0, 1.0, (3, 4, 5, 5)), 0.05)
-    proj = _projection(rng, x.shape)
-    gx = relu_backward(proj, x)
-
-    def fn():
-        return float(np.sum(relu_forward(x) * proj))
-
-    return _probe_coords(fn, x, gx, rng, 110, epsilon)
+    return _probe_layer(ReluLayer(), x, rng, (110,))
 
 
-def _check_prelu(seed, epsilon):
+def _check_prelu(seed):
     rng = np.random.default_rng(seed)
     x = _away_from_zero(rng.normal(0.0, 1.0, (3, 6, 4, 4)), 0.05)
     layer = PReluLayer(6, dtype=np.float64)
     layer.slope[...] = rng.uniform(0.1, 0.4, 6)
-    return _probe_layer(layer, x, rng, (100, 6), epsilon)
+    return _probe_layer(layer, x, rng, (100, 6))
 
 
-def _check_maxpool(seed, epsilon):
+def _check_maxpool(seed):
     rng = np.random.default_rng(seed)
     # distinct values with gaps far beyond epsilon, so winners cannot flip
     x = 0.01 * rng.permutation(2 * 3 * 6 * 6).astype(np.float64).reshape(2, 3, 6, 6)
     x -= x.mean()
-    return _probe_layer(MaxPoolLayer(3, 2), x, rng, (108,), epsilon, guard=("argmax",))
+    return _probe_layer(MaxPoolLayer(3, 2), x, rng, (108,), guard=("argmax",))
 
 
-def _check_sdropout(seed, epsilon):
+def _check_sdropout(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.5, (4, 6))
     labels = rng.integers(0, 3, 4)
@@ -324,20 +313,12 @@ def _check_sdropout(seed, epsilon):
 
     _, branches = forward_training(net, x, labels, pinned_masks=pinned)
     grads = backward_training(branches)
-
-    worst, n = 0.0, 0
-    targets = ((x, branches.input_grad, 24),
-               (fc1.weights, grads[(0, "weights")], 48),
-               (fc1.bias, grads[(0, "bias")], 8),
-               (fc2.weights, grads[(2, "weights")], 24),
-               (fc2.bias, grads[(2, "bias")], 3))
-    for arr, ana, quota in targets:
-        w, c = _probe_coords(fn, arr, ana, rng, quota, epsilon)
-        worst, n = max(worst, w), n + c
-    return worst, n
+    targets = [(x, branches.input_grad)] + [(arr, grads[(i, name)])
+                                            for i, name, arr in net.named_params()]
+    return _probe(fn, targets, (24, 48, 8, 24, 3), rng)
 
 
-def _oriented_case(seed, epsilon, flip):
+def _oriented_case(seed, flip):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (2, 2, 5, 5))
     cls = FrpcConvLayer if flip else RpcConvLayer
@@ -347,16 +328,15 @@ def _oriented_case(seed, epsilon, flip):
                 dtype=np.float64, **kwargs)
     layer.weights[...] = rng.normal(0.0, 0.7, layer.weights.shape)
     layer.bias[...] = rng.normal(0.0, 0.3, layer.bias.shape)
-    return _probe_layer(layer, x, rng, (50, 48, 4), epsilon,
-                        guard=("rot_win", "flip_win"))
+    return _probe_layer(layer, x, rng, (50, 48, 4), guard=("rot_win", "flip_win"))
 
 
-def _check_rpc(seed, epsilon):
-    return _oriented_case(seed, epsilon, flip=False)
+def _check_rpc(seed):
+    return _oriented_case(seed, flip=False)
 
 
-def _check_frpc(seed, epsilon):
-    return _oriented_case(seed, epsilon, flip=True)
+def _check_frpc(seed):
+    return _oriented_case(seed, flip=True)
 
 
 _CHECKS = {"conv": _check_conv, "fc": _check_fc, "relu": _check_relu,
@@ -364,13 +344,15 @@ _CHECKS = {"conv": _check_conv, "fc": _check_fc, "relu": _check_relu,
            "sdropout": _check_sdropout, "rpc": _check_rpc, "frpc": _check_frpc}
 
 
-def gradient_suite(seed: int = 0, kinds=None, epsilon: float = EPSILON_DEFAULT):
+def gradient_suite(seed: int = 0, kinds=None):
     """Finite-difference check per layer kind.
 
     Returns a list of {'layer', 'max_rel', 'coords'} dicts. Cases whose
     argmax decisions flip under probing are redrawn with a fresh seed
     (deterministically) rather than silently tolerated.
     """
+    if seed < 0:
+        raise InputError(f"gradient check seed must be non-negative, got {seed}")
     kinds = list(kinds) if kinds else list(GRAD_CHECK_KINDS)
     unknown = [k for k in kinds if k not in _CHECKS]
     if unknown:
@@ -380,7 +362,7 @@ def gradient_suite(seed: int = 0, kinds=None, epsilon: float = EPSILON_DEFAULT):
     for kind in kinds:
         for attempt in range(25):
             try:
-                max_rel, coords = _CHECKS[kind](seed + 997 * attempt, epsilon)
+                max_rel, coords = _CHECKS[kind](seed + 997 * attempt)
                 break
             except _WinnerFlip:
                 continue

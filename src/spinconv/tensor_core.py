@@ -126,13 +126,8 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, buf: np.ndarray) -> np
     w_out = conv_output_size(w, k, stride, pad)
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
-    sc, sn, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, k, k, n, h_out, w_out),
-        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
-        writeable=False,
-    )
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3)
     # a single copy gathers the windows and upcasts them
     cols = _front(buf, windows.shape)
     np.copyto(cols, windows)

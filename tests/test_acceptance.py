@@ -215,6 +215,7 @@ def _idx_round_trip(ds, tmp_path, stem):
     return data.load_idx(images, labels)
 
 
+@pytest.mark.slow
 def test_c08_convergence_analog(tmp_path):
     t0 = time.perf_counter()
     train = data.preprocess(
@@ -268,6 +269,7 @@ def test_c08_convergence_analog(tmp_path):
              f"{100 * acc_diff:+.2f}pts", time.perf_counter() - t0, 1800.0)
 
 
+@pytest.mark.slow
 def test_c09_rotation_robustness():
     # Raw-intensity protocol: no mean subtraction. The mean of this class
     # set is itself orientation-biased, so subtracting an upright mean from

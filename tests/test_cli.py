@@ -538,6 +538,21 @@ def test_train_val_label_outside_network_outputs_exit_code(tmp_path):
     assert "config.val_dataset" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_checkpoint_without_mean_image_exit_code(tmp_path, command):
+    from spinconv import checkpoint, training
+    from spinconv.layers import NetworkSpec
+    spec = NetworkSpec(input_shape=(1, 28, 28), layers=[
+        {"kind": "flatten"}, {"kind": "fc", "out_features": 4}])
+    ckpt = str(tmp_path / "no-mean.bin")
+    checkpoint.save_checkpoint(training.init_weights(spec, seed=2), ckpt)
+    images, labels = _write_eval_idx(tmp_path)
+    extra = ["--angles", "2", "--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    err = _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
+                                    "--labels", labels, *extra)
+    assert f"checkpoint {ckpt} carries no training mean image" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -643,3 +658,8 @@ def test_gradcheck_all_layers_pass(capsys):
 def test_gradcheck_unknown_layer(capsys):
     assert cli.main(["gradcheck", "--layer", "gelu"]) == 2
     assert "gelu" in capsys.readouterr().err
+
+
+def test_gradcheck_negative_seed_exit_code():
+    err = _assert_config_error_exit("gradcheck", "--seed", "-1")
+    assert "seed" in err
