@@ -9,6 +9,7 @@ byte-identical checkpoints and CSVs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -145,6 +146,10 @@ def cmd_sweep(args) -> int:
     from . import evaluation
 
     angles = evaluation.sweep_angles(args.angles)
+    # the output is opened only after the sweep, so a missing directory
+    # fails here, as opening it would, before any file is read
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     net, meta, ds = _evaluation_inputs(args)
     report = evaluation.rotation_sweep(net, ds, angles, batch_size=args.batch_size)
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:

@@ -2,17 +2,21 @@
 
 All operations are pure: inputs are never mutated and outputs are freshly
 allocated. Activations and parameters are stored in single precision during
-training; every reduction (convolution and fully-connected contractions,
-bias sums) accumulates in double precision and the result is cast back to
-the working dtype. Passing float64 inputs therefore runs the whole kernel
-in double precision, which is what the gradient-check suite does.
+training. The forward kernels accumulate every contraction and bias add in
+double precision and cast the result back to the working dtype, so their
+outputs are the float64 results rounded once. The conv and fc backward
+kernels run in the working dtype: columns, routed gradient, both GEMMs and
+the col2im sum, with single-precision BLAS for float32. Only their bias
+sums and the conv's sums over image chunks stay in double precision.
+Passing float64 inputs runs every kernel wholly in double precision, which
+is what the gradient-check suite does.
 
 Convolution is cross-correlation (no kernel mirroring) with zero padding,
 lowered to a GEMM against a channel-major [C*k*k, n*H'*W'] column matrix,
 so the product comes out channel-major, [O, n*H'*W']. Forward and backward
-both run over the batch _CHUNK images at a time, which bounds the float64
-columns and products whatever the batch size; the weight and bias gradients
-are summed over the chunks in double precision.
+both run over the batch _CHUNK images at a time, which bounds the columns
+and products whatever the batch size; the weight and bias gradients are
+summed over the chunks in double precision.
 
 A conv takes the O stored kernels and orientation banks, one per winner
 map. A bank is (filters, index, winners): m ascending filter indices, their
@@ -99,10 +103,11 @@ class ConvParams:
 # Convolution
 # ---------------------------------------------------------------------------
 
-# Images per im2col in the conv kernels: bounds the float64 column matrix
-# and the GEMM products built from it, which grow with the batch. The
-# columns and the product share one float64 workspace per call, sized for
-# the first chunk and reused by every chunk, so the peak is one chunk's.
+# Images per im2col in the conv kernels: bounds the column matrix and the
+# GEMM products built from it, which grow with the batch. The columns and
+# the product share one workspace per call (float64 in the forward, the
+# working dtype in the backward), sized for the first chunk and reused by
+# every chunk, so the peak is one chunk's.
 # Fresh arrays per chunk, or two buffers per call, were handed back to the
 # system between calls by glibc's malloc and page-faulted in again on every
 # call; one workspace measured 10-20% faster on training and sweep calls.
@@ -115,8 +120,8 @@ def _front(buf: np.ndarray, shape) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int, buf: np.ndarray) -> np.ndarray:
-    """[C*k*k, N*H'*W'] float64 column matrix of x [N,C,H,W], written to the
-    front of the flat float64 buffer `buf`.
+    """[C*k*k, N*H'*W'] column matrix of x [N,C,H,W] in the dtype of the
+    flat buffer `buf`, written to its front.
 
     Rows are channel-major (c, ki, kj); columns run over (n, i, j), so a
     GEMM against it yields [O, N, H', W'] directly.
@@ -128,7 +133,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, buf: np.ndarray) -> np
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
     windows = np.lib.stride_tricks.sliding_window_view(
         xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3)
-    # a single copy gathers the windows and upcasts them
+    # a single copy gathers the windows and casts them
     cols = _front(buf, windows.shape)
     np.copyto(cols, windows)
     return cols.reshape(c * k * k, n * h_out * w_out)
@@ -147,8 +152,9 @@ def _output_size(x: np.ndarray, params: ConvParams):
             conv_output_size(x.shape[3], k, stride, pad))
 
 
-def _expanded(params: ConvParams, banks):
-    """The expanded bank's float64 [O_exp, C*k*k] weights and [O_exp] bias."""
+def _expanded(params: ConvParams, banks, dtype):
+    """The expanded bank's [O_exp, C*k*k] weights and [O_exp] bias in
+    `dtype`: float64 for the forward, the working dtype for the backward."""
     o, c, k, _ = params.weights.shape
     w = params.weights.reshape(o, c, k * k)
     # variant s of filter i is its kernel gathered through index[i, s]
@@ -157,8 +163,8 @@ def _expanded(params: ConvParams, banks):
         .swapaxes(0, 1).reshape(-1, c * k * k) for f, index, _ in banks]
     bias = [params.bias] + [np.tile(params.bias[f], index.shape[1] - 1)
                             for f, index, _ in banks]
-    return (np.asarray(np.concatenate(weights), dtype=np.float64),
-            np.asarray(np.concatenate(bias), dtype=np.float64))
+    return (np.asarray(np.concatenate(weights), dtype=dtype),
+            np.asarray(np.concatenate(bias), dtype=dtype))
 
 
 def _slabs(o: int, banks):
@@ -178,7 +184,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, banks=()) -> np.ndarray:
     h_out, w_out = _output_size(x, params)
     o, k = params.out_channels, params.kernel_size
     dt = _working_dtype(x, params.weights)
-    w_mat, bias = _expanded(params, banks)
+    w_mat, bias = _expanded(params, banks, np.float64)
     o_exp, ckk = w_mat.shape
     out = np.empty((len(x), o, h_out, w_out), dtype=dt)
     width = min(len(x), _CHUNK) * h_out * w_out
@@ -206,7 +212,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, banks=()) -> np.ndarray:
 
 
 def _routed(grad_out: np.ndarray, o_exp: int, banks, a: int, buf: np.ndarray) -> np.ndarray:
-    """The float64 channel-major [O_exp, n*H'*W'] gradient of the expanded
+    """The channel-major [O_exp, n*H'*W'] gradient of the expanded
     product for the chunk grad_out [n, O, H', W'] that starts at image `a`,
     written to the front of `buf`: each pooled filter's gradient goes to the
     variant that won the position."""
@@ -257,31 +263,29 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, params: ConvParams, ban
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, o, h_out, w_out)}")
     dt = _working_dtype(x, params.weights)
-    w_mat = _expanded(params, banks)[0]
+    w_mat = _expanded(params, banks, dt)[0]
     o_exp, ckk = w_mat.shape
     grad_input = np.empty((n, c, h, w), dtype=dt) if input_grad else None
     grad_weights = np.zeros(w_mat.shape)
     grad_bias = np.zeros(o_exp)
     width = min(n, _CHUNK) * h_out * w_out
-    cols_buf, g_buf = np.split(np.empty((ckk + o_exp) * width), [ckk * width])
+    cols_buf, g_buf = np.split(np.empty((ckk + o_exp) * width, dt), [ckk * width])
     for a in range(0, n, _CHUNK):
         x_a = x[a:a + _CHUNK]
         cols = _im2col(x_a, k, stride, pad, cols_buf)
         g = _routed(grad_out[a:a + _CHUNK], o_exp, banks, a, g_buf)
-        grad_bias += g.sum(axis=1)
+        grad_bias += g.sum(axis=1, dtype=np.float64)
         grad_weights += g @ cols.T
         if not input_grad:
             continue
         # the columns are spent, so their buffer takes the column gradient
         gcols = np.matmul(w_mat.T, g, out=cols).reshape(c, k, k, -1, h_out, w_out)
-        gx_pad = np.zeros((c, len(x_a), h + 2 * pad, w + 2 * pad))
+        gx_pad = np.zeros((c, len(x_a), h + 2 * pad, w + 2 * pad), dt)
         for i in range(k):
             for j in range(k):
                 gx_pad[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] \
                     += gcols[:, i, j]
-        np.copyto(grad_input[a:a + _CHUNK],
-                  gx_pad[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3),
-                  casting="same_kind")
+        grad_input[a:a + _CHUNK] = gx_pad[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
     grad_weights, grad_bias = _pulled_back(grad_weights.astype(dt, copy=False),
                                            grad_bias.astype(dt, copy=False), o, banks)
     return grad_input, grad_weights.reshape(params.weights.shape), grad_bias
@@ -409,14 +413,14 @@ def fc_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray,
             f"grad_out shape {grad_out.shape} does not match output shape "
             f"{(x.shape[0], weights.shape[0])}")
     dt = _working_dtype(x, weights)
-    g = np.asarray(grad_out, dtype=np.float64)
-    x64 = np.asarray(x, dtype=np.float64)
-    grad_weights = (g.T @ x64).astype(dt, copy=False)
-    grad_bias = g.sum(axis=0).astype(dt, copy=False)
+    g = np.asarray(grad_out, dtype=dt)
+    x_dt = np.asarray(x, dtype=dt)
+    grad_weights = g.T @ x_dt
+    grad_bias = g.sum(axis=0, dtype=np.float64).astype(dt, copy=False)
     if not input_grad:
         return None, grad_weights, grad_bias
-    del x64  # lowers the peak: the input gradient is the same size
-    grad_input = (g @ np.asarray(weights, dtype=np.float64)).astype(dt, copy=False)
+    del x_dt  # a cast copy of x goes before the same-sized input gradient
+    grad_input = g @ np.asarray(weights, dtype=dt)
     return grad_input, grad_weights, grad_bias
 
 

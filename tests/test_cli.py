@@ -603,6 +603,24 @@ def test_sweep_angles_over_cap_exits_before_reading_files(tmp_path, capsys):
     assert "angle" in capsys.readouterr().err
 
 
+def test_sweep_out_in_missing_directory_exits_before_sweeping(overfit_run, tmp_path,
+                                                              monkeypatch, capsys):
+    from spinconv import evaluation
+
+    def rotation_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(evaluation, "rotation_sweep", rotation_sweep)
+    ckpt, images, labels = overfit_run
+    out = str(tmp_path / "missing" / "s.csv")
+    assert cli.main(["sweep", "--checkpoint", ckpt, "--images", images,
+                     "--labels", labels, "--angles", "2", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and out in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "missing")
+
+
 def test_sweep_single_angle_matches_eval(overfit_run, tmp_path, capsys):
     ckpt, images, labels = overfit_run
     top1, _ = _eval_top1(capsys, "eval", "--checkpoint", ckpt,
