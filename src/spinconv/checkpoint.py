@@ -77,11 +77,16 @@ def save_checkpoint(net, path, mean_image: np.ndarray = None, extra: dict = None
 
     Only the training representation is stored; converted inference
     networks have their dropout folded into the weights and cannot be
-    rebuilt from the layer list.
+    rebuilt from the layer list. The tensors are stored as float32, so a
+    parameter of any other dtype is refused rather than rounded.
     """
     if net.inference:
         raise ConfigError("checkpoints store the training representation; "
                           "save before converting with to_inference")
+    for i, name, arr in net.named_params():
+        if arr.dtype != np.float32:
+            raise ConfigError(f"checkpoints store float32 parameters; layer {i} "
+                              f"param {name!r} is {arr.dtype}")
     payload = [arr for _, _, arr in net.named_params()]
     if mean_image is not None:
         payload.append(mean_image)

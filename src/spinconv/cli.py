@@ -28,6 +28,12 @@ def _pin_threads(n: int):
         os.environ[var] = str(n)
 
 
+def _write_json(path, value):
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(value, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
 def _dataset(dcfg: dict, spec, name, mean_image=None):
     """The dataset `dcfg` describes (IDX or synthetic), preprocessed with its
     own mean or the one given. Exit 2 unless every label indexes one of the
@@ -54,7 +60,7 @@ def cmd_train(args) -> int:
     if cfg.output_dir is None:
         raise ConfigError("config.output_dir is required for training")
 
-    from . import checkpoint, data, training
+    from . import checkpoint, training
     from .layers import NetworkSpec
 
     spec = NetworkSpec(input_shape=cfg.input_shape, layers=cfg.layers)
@@ -70,7 +76,6 @@ def cmd_train(args) -> int:
                                     batch_size=cfg.batch_size)
     schedule = training.LrSchedule(**cfg.schedule)
 
-    images = data.center_crop(train_ds.images, cfg.input_shape[1:])
     os.makedirs(cfg.output_dir, exist_ok=True)
     config_echo = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
     metrics_path = os.path.join(cfg.output_dir, "metrics.csv")
@@ -91,19 +96,16 @@ def cmd_train(args) -> int:
             f.write(f"{r['epoch']},{r['split']},{r['loss']:.6f},{r['top1']:.6f}\n")
             f.flush()
 
-        rows = training.fit(net, images, train_ds.labels, state, cfg.epochs,
+        rows = training.fit(net, train_ds.images, train_ds.labels, state, cfg.epochs,
                             schedule, val_images, val_labels, on_row=write_row)
 
     checkpoint.save_checkpoint(net, ckpt_path, mean_image=train_ds.mean_image,
                                extra={"config": cfg.doc, "seed": cfg.seed})
 
-    with open(run_path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"format_version": checkpoint.FORMAT_VERSION, "seed": cfg.seed,
-                   "config": cfg.doc,
-                   "outputs": {"checkpoint": "checkpoint.bin",
-                               "metrics": "metrics.csv"}},
-                  f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(run_path, {"format_version": checkpoint.FORMAT_VERSION, "seed": cfg.seed,
+                           "config": cfg.doc,
+                           "outputs": {"checkpoint": "checkpoint.bin",
+                                       "metrics": "metrics.csv"}})
 
     final = rows[-1]
     print(f"trained {cfg.epochs} epochs; final {final['split']} "
@@ -154,15 +156,12 @@ def cmd_sweep(args) -> int:
     report = evaluation.rotation_sweep(net, ds, angles, batch_size=args.batch_size)
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write(report.to_csv())
-    meta_path = args.out + ".meta.json"
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"checkpoint": os.path.basename(args.checkpoint),
-                   "dataset": os.path.basename(args.images),
-                   "n_angles": args.angles,
-                   "seed": meta["header"].get("seed"),
-                   "config": meta["header"].get("extra", {}).get("config")},
-                  f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(args.out + ".meta.json",
+                {"checkpoint": os.path.basename(args.checkpoint),
+                 "dataset": os.path.basename(args.images),
+                 "n_angles": args.angles,
+                 "seed": meta["header"].get("seed"),
+                 "config": meta["header"].get("extra", {}).get("config")})
     print(f"sweep: {args.out} ({args.angles} angles)")
     return 0
 

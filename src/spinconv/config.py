@@ -5,8 +5,8 @@ names the offending field. Field tables hold each field's default and range
 check, and one resolver reads them all: `RUN_FIELDS` for the document,
 `SCHEDULE_FIELDS`, `DATASET_KINDS`, and `LAYER_KINDS`, which also gives
 each layer kind its input rank, its output-shape rule and its rules across
-fields. The tables are the only copy of these defaults and checks; the
-layer, optimizer and schedule classes trust what they resolved.
+fields. The tables are the only copy of these fields, defaults and checks;
+the layer, optimizer and schedule classes trust what they resolved.
 `network_shapes` runs the layer table as a dry shape pass, so geometry
 errors and networks over the `MAX_VALUES` size cap surface before any data
 is read; `training.init_weights` and checkpoint loading use the same pass.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, DimensionError
@@ -180,8 +180,9 @@ def network_shapes(input_shape, layers, where: str) -> list:
     """Dry shape pass: (resolved fields, input shape, output shape) per layer,
     shapes (C, H, W) before flatten and (d,) after; a ConfigError names
     `{where}.input_shape` or `{where}.layers[i]`, also for a layer over the
-    MAX_VALUES cap. Each dropout layer needs a later weighted layer, which
-    inference scales by its keep probability."""
+    MAX_VALUES cap. Each dropout layer needs a later layer with weights (a
+    kind whose `weights` rule is non-zero), which inference scales by its
+    keep probability."""
     _require(isinstance(input_shape, (list, tuple)) and len(input_shape) == 3
              and all(_is_int(v) and v >= 1 for v in input_shape),
              f"{where}.input_shape must be [channels, height, width], "
@@ -204,11 +205,11 @@ def network_shapes(input_shape, layers, where: str) -> list:
         _require(size <= MAX_VALUES, f"{at}: {kind} layer holds {size} values in "
                                      f"its output {out} or weights, over {MAX_VALUES}")
         plan.append((fields, shape, out))
-        shape = out
-        if kind in ("conv", "rpc_conv", "frpc_conv", "fc"):
+        if entry.weights(fields, shape):
             unfolded = None
         elif kind == "dropout" and unfolded is None:
             unfolded = at
+        shape = out
     _require(unfolded is None, f"{unfolded}: dropout layer needs a later conv, "
                                "rpc_conv, frpc_conv or fc layer to fold into")
     return plan
@@ -268,34 +269,18 @@ RUN_FIELDS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """A run document resolved through RUN_FIELDS; `doc` is the document as
-    given, echoed into the run artifacts."""
-
-    seed: int
-    input_shape: tuple
-    layers: list
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    momentum: float
-    schedule: dict  # LrSchedule keyword arguments
-    dataset: dict
-    val_dataset: dict
-    output_dir: str
-    doc: dict
-
-
-def parse_config(doc: dict) -> RunConfig:
+def parse_config(doc: dict) -> SimpleNamespace:
+    """A run document resolved through RUN_FIELDS, one attribute per field;
+    the network's fields come as `input_shape` (a tuple) and `layers`, and
+    `doc` is the document as given, echoed into the run artifacts."""
     _require(isinstance(doc, dict), "config root must be a JSON object")
     run = _resolve(doc, RUN_FIELDS, "config")
     net = run.pop("network")
-    return RunConfig(input_shape=tuple(net["input_shape"]), layers=net["layers"],
-                     doc=doc, **run)
+    return SimpleNamespace(input_shape=tuple(net["input_shape"]), layers=net["layers"],
+                           doc=doc, **run)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> SimpleNamespace:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)

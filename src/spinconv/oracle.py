@@ -24,8 +24,6 @@ from .tensor_core import ConvParams
 from .training import backward_training, forward_training
 
 EPSILON_DEFAULT = 1e-3
-GRAD_CHECK_KINDS = ("conv", "fc", "relu", "prelu", "maxpool", "sdropout",
-                    "rpc", "frpc")
 
 
 def relative_error(a, b):
@@ -85,13 +83,6 @@ def naive_maxpool(x: np.ndarray, window: int, stride: int):
                     y[b, ch, i, j] = best
                     arg[b, ch, i, j] = best_idx
     return y, arg
-
-
-def tie_break(responses: np.ndarray) -> int:
-    """Winning variant index at one position: lowest index among maxima."""
-    if np.asarray(responses).size == 0:
-        raise InputError("tie_break needs at least one response")
-    return int(np.argmax(responses))
 
 
 def _ring_successor(i, j, c):
@@ -342,6 +333,7 @@ def _check_frpc(seed):
 _CHECKS = {"conv": _check_conv, "fc": _check_fc, "relu": _check_relu,
            "prelu": _check_prelu, "maxpool": _check_maxpool,
            "sdropout": _check_sdropout, "rpc": _check_rpc, "frpc": _check_frpc}
+GRAD_CHECK_KINDS = tuple(_CHECKS)
 
 
 def gradient_suite(seed: int = 0, kinds=None):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RUN_FIELDS, SCHEDULE_FIELDS, network_shapes
+from .data import center_crop
 from .errors import ConsistencyError, InputError, NumericalAbort
 from .evaluation import predict_logits, top_k_accuracy
 from .layers import (ConvLayer, DropoutLayer, FcLayer, FlattenLayer,
@@ -207,7 +208,7 @@ def backward_training(branch_set: BranchSet, input_grad: bool = True):
         layer, cache, caches[i] = net.layers[i], caches[i], None
         g = layer.backward(g, cache, input_grad=False) if i == last else layer.backward(g, cache)
         grads.update(((i, name), grad) for name, grad in cache.get("grads", {}).items())
-    branch_set.input_grad = g
+    branch_set.input_grad = g if input_grad else None
     return grads
 
 
@@ -253,7 +254,8 @@ def to_inference(net: Network) -> Network:
 
 def train_epoch(net: Network, images: np.ndarray, labels: np.ndarray,
                 state: OptimizerState):
-    """One pass over the data in shuffled mini-batches.
+    """One pass over the data in shuffled mini-batches, the images
+    center-cropped to the network input as `predict_logits` crops them.
 
     Returns {'loss': ..., 'top1': ...} running averages. Top-1 uses the
     branch-averaged probabilities, which reduces to the plain prediction
@@ -262,6 +264,7 @@ def train_epoch(net: Network, images: np.ndarray, labels: np.ndarray,
     n = images.shape[0]
     if n == 0:
         raise InputError("empty dataset")
+    images = center_crop(images, net.spec.input_shape[1:])
     perm = net.data_rng.permutation(n)
     loss_sum, correct = 0.0, 0
     for start in range(0, n, state.batch_size):
@@ -296,8 +299,8 @@ def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
     Returns per-epoch metric rows as dicts with keys epoch, split, loss,
     top1 (split is 'train' or 'val'); `on_row`, when given, is called with
     each row as soon as it is complete. Validation metrics come from
-    `predict_logits` on a throwaway inference copy of the current weights,
-    which center-crops the validation images to the network input.
+    `predict_logits` on a throwaway inference copy of the current weights;
+    it and `train_epoch` center-crop their images to the network input.
     """
     schedule = schedule or LrSchedule(kind="fixed")
     rows, best, stall = [], float("inf"), 0

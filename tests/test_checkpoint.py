@@ -182,6 +182,18 @@ def test_failed_save_leaves_earlier_checkpoint(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
+def test_save_refuses_non_float32_parameters(tmp_path):
+    """The file stores float32, so a float64 parameter is refused before
+    any file is made instead of being rounded on the way out."""
+    spec = NetworkSpec(input_shape=(1, 1, 3), layers=[
+        {"kind": "flatten"}, {"kind": "fc", "out_features": 2}])
+    net = tr.init_weights(spec, seed=0, dtype=np.float64)
+    net.layers[1].weights[0, 0] = 0.10000000000100001
+    with pytest.raises(ConfigError, match=r"layer 1 param 'weights' is float64"):
+        ck.save_checkpoint(net, str(tmp_path / "model.bin"))
+    assert list(tmp_path.iterdir()) == []
+
+
 # values no field of a saved header holds as they are here; each layer-size
 # field the list reaches is refused by the config or its size cap before
 # anything is allocated

@@ -673,6 +673,19 @@ def test_gradcheck_all_layers_pass(capsys):
     assert not any("FAIL" in l for l in out)
 
 
+def test_gradcheck_failure_exit_code(capsys, monkeypatch):
+    from spinconv import oracle
+    monkeypatch.setattr(oracle, "gradient_suite", lambda seed, kinds: [
+        {"layer": "conv", "max_rel": 1e-6, "coords": 104},
+        {"layer": "fc", "max_rel": 2e-4, "coords": 107}])
+    assert cli.main(["gradcheck"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        f"{'conv':<10} {1e-6:>12.3e} {104:>7} PASS",
+        f"{'fc':<10} {2e-4:>12.3e} {107:>7} FAIL"]
+    assert captured.err == "error: gradient check exceeded 0.0001 for: fc\n"
+
+
 def test_gradcheck_unknown_layer(capsys):
     assert cli.main(["gradcheck", "--layer", "gelu"]) == 2
     assert "gelu" in capsys.readouterr().err

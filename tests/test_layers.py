@@ -161,16 +161,14 @@ def test_dropout_forward_draws_no_mask(mode):
                           DropoutLayer(p=0.5, rng=np.random.default_rng(9)).draw_mask(32))
 
 
-# ---------------------------------------------------------------------------
-# Tie-breaking
-# ---------------------------------------------------------------------------
-
-def test_tie_break_rules():
-    assert oracle.tie_break(np.array([2.0, 2.0, 2.0])) == 0
-    assert oracle.tie_break(np.array([0.0, 1.0, 0.5, 0.2, 0.1, 9.0])) == 5
-    r = np.zeros(8)
-    r[2] = r[6] = 3.0
-    assert oracle.tie_break(r) == 2
+@pytest.mark.parametrize("make, name", [
+    (lambda: DropoutLayer(p=0.5, rng=np.random.default_rng(0)), "dropout"),
+    (lambda: MaxPoolLayer(2, 2), "maxpool"),
+    (lambda: FcLayer(4, 3), "fc")])
+def test_backward_without_matching_forward(make, name):
+    with pytest.raises(ConsistencyError,
+                       match=f"{name} backward called without a matching forward"):
+        make().backward(np.ones((2, 3), np.float32), {})
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinconv import oracle, tensor_core as tc, training as tr
-from spinconv.errors import ConfigError, InputError
+from spinconv.errors import ConfigError, ConsistencyError, InputError
 from spinconv.layers import NetworkSpec
 from spinconv.tensor_core import ConvParams
 
@@ -262,3 +262,45 @@ def test_gradient_suite_is_deterministic():
 def test_gradient_suite_rejects_unknown_kind():
     with pytest.raises(InputError):
         oracle.gradient_suite(kinds=("fc", "gelu"))
+
+
+def test_gradient_suite_redraws_a_winner_flip(monkeypatch):
+    """At seed 2 a probe flips an rpc and an frpc winner, so each kind is
+    redrawn once, at seed 2 + 997, and reports that draw's check."""
+    seeds = {}
+    for kind in ("rpc", "frpc"):
+        check = oracle._CHECKS[kind]
+
+        def recording(seed, kind=kind, check=check):
+            seeds.setdefault(kind, []).append(seed)
+            return check(seed)
+        monkeypatch.setitem(oracle._CHECKS, kind, recording)
+    results = oracle.gradient_suite(seed=2, kinds=("rpc", "frpc"))
+    assert seeds == {"rpc": [2, 999], "frpc": [2, 999]}
+    for r, check in zip(results, (oracle._check_rpc, oracle._check_frpc)):
+        assert (r["max_rel"], r["coords"]) == check(999)
+
+
+def test_gradient_suite_gives_up_after_25_draws(monkeypatch):
+    seeds = []
+
+    def always_flips(seed):
+        seeds.append(seed)
+        raise oracle._WinnerFlip
+    monkeypatch.setitem(oracle._CHECKS, "fc", always_flips)
+    with pytest.raises(ConsistencyError, match="'fc' after 25 draws"):
+        oracle.gradient_suite(seed=1, kinds=("fc",))
+    assert seeds == [1 + 997 * attempt for attempt in range(25)]
+
+
+def test_central_restores_the_coordinate_when_a_probe_is_unstable():
+    flat = np.array([1.0, 2.0])
+    seen = []
+
+    def fn():
+        seen.append(flat[0])
+        return float(flat.sum())
+    with pytest.raises(oracle._WinnerFlip):
+        oracle._central(fn, flat, 0, 1e-3, stable=lambda: False)
+    assert seen == [1.0 + 1e-3]
+    assert flat.tolist() == [1.0, 2.0]

@@ -298,6 +298,14 @@ def test_sgd_rejects_nan_gradient():
         tr.sgd_momentum_step(net, tr.OptimizerState(), grads)
 
 
+def test_backward_without_input_grad_on_a_network_without_parameters():
+    net = _flat_net([], width=4)
+    rng = np.random.default_rng(15)
+    _, branches = tr.forward_training(net, _vecs(rng, 3, 4), rng.integers(0, 4, 3))
+    assert tr.backward_training(branches, input_grad=False) == {}
+    assert branches.input_grad is None
+
+
 def test_sgd_requires_gradients():
     net = _one_weight_net()
     with pytest.raises(ConsistencyError):
@@ -517,6 +525,22 @@ def test_epoch_metrics_are_seed_deterministic():
         traces.append([tr.train_epoch(net, images, labels, state)
                        for _ in range(3)])
     assert traces[0] == traces[1]
+
+
+def test_epoch_center_crops_images_to_the_network_input():
+    """Training crops as predict_logits does: an epoch over 6x7 images on a
+    4x4 network is the epoch over their 4x4 centers."""
+    layers = [{"kind": "conv", "out_channels": 2, "kernel": 3},
+              {"kind": "flatten"}, {"kind": "fc", "out_features": 3}]
+    rng = np.random.default_rng(16)
+    images = rng.normal(size=(6, 1, 6, 7))
+    labels = rng.integers(0, 3, size=6)
+    nets = [_net(layers, input_shape=(1, 4, 4), seed=4) for _ in range(2)]
+    metrics = [tr.train_epoch(net, x, labels, tr.OptimizerState(batch_size=4))
+               for net, x in zip(nets, (images, images[:, :, 1:5, 1:5]))]
+    assert metrics[0] == metrics[1]
+    for (_, _, a), (_, _, b) in zip(nets[0].named_params(), nets[1].named_params()):
+        assert np.array_equal(a, b)
 
 
 def test_empty_dataset_is_rejected():
