@@ -36,14 +36,23 @@ def _write_json(path, value):
 
 def _dataset(dcfg: dict, spec, name, mean_image=None):
     """The dataset `dcfg` describes (IDX or synthetic), preprocessed with its
-    own mean or the one given. Exit 2 unless every label indexes one of the
-    outputs of the network `spec`, the first axis of its final output shape."""
+    own mean or the one given. Exit 2 unless the images have the channels
+    of the network `spec`'s input and at least its height and width (the
+    crop rule of training and inference), and every label indexes one of
+    its outputs, the first axis of its final output shape."""
     from . import data
     from .config import network_shapes
     if dcfg["kind"] == "idx":
         ds = data.load_idx(dcfg["images"], dcfg["labels"])
     else:
         ds = data.make_rotated_shapes(dcfg["n_per_class"], dcfg["seed"])
+    (c, h, w), (channels, rows, cols) = spec.input_shape, ds.images.shape[1:]
+    if channels != c:
+        raise ConfigError(f"{name}: images have {channels} channels, the network "
+                          f"input has {c}")
+    if rows < h or cols < w:
+        raise ConfigError(f"{name}: images of {rows}x{cols} are smaller than the "
+                          f"network input of {h}x{w}")
     ds = data.preprocess(ds, mean_image)
     labels = ds.labels
     width = network_shapes(spec.input_shape, spec.layers, "network")[-1][2][0]
@@ -60,6 +69,8 @@ def cmd_train(args) -> int:
     if cfg.output_dir is None:
         raise ConfigError("config.output_dir is required for training")
 
+    import numpy as np
+
     from . import checkpoint, training
     from .layers import NetworkSpec
 
@@ -74,7 +85,6 @@ def cmd_train(args) -> int:
     state = training.OptimizerState(learning_rate=cfg.learning_rate,
                                     momentum=cfg.momentum,
                                     batch_size=cfg.batch_size)
-    schedule = training.LrSchedule(**cfg.schedule)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     config_echo = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":"))
@@ -96,8 +106,12 @@ def cmd_train(args) -> int:
             f.write(f"{r['epoch']},{r['split']},{r['loss']:.6f},{r['top1']:.6f}\n")
             f.flush()
 
-        rows = training.fit(net, train_ds.images, train_ds.labels, state, cfg.epochs,
-                            schedule, val_images, val_labels, on_row=write_row)
+        # a diverging run ends on the NumericalAbort of the loss check, not
+        # on numpy's overflow warnings from the steps before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = training.fit(net, train_ds.images, train_ds.labels, state,
+                                cfg.epochs, cfg.schedule, val_images, val_labels,
+                                on_row=write_row)
 
     checkpoint.save_checkpoint(net, ckpt_path, mean_image=train_ds.mean_image,
                                extra={"config": cfg.doc, "seed": cfg.seed})
@@ -198,23 +212,22 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", required=True, help="path to the run config")
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", help="top-1/top-5 accuracy of a checkpoint")
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--images", required=True, help="IDX images file")
-    e.add_argument("--labels", required=True, help="IDX labels file")
+    # the checkpoint and IDX pair that eval and sweep read, and their batch
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--checkpoint", required=True)
+    io.add_argument("--images", required=True, help="IDX images file")
+    io.add_argument("--labels", required=True, help="IDX labels file")
+    io.add_argument("--batch-size", type=int, default=256)
+
+    e = sub.add_parser("eval", parents=[io], help="top-1/top-5 accuracy of a checkpoint")
     e.add_argument("--ten-view", action="store_true",
                    help="average predictions over 10 crop/mirror views")
-    e.add_argument("--batch-size", type=int, default=256)
     e.set_defaults(func=cmd_eval)
 
-    s = sub.add_parser("sweep", help="accuracy across a grid of rotation angles")
-    s.add_argument("--checkpoint", required=True)
-    s.add_argument("--images", required=True, help="IDX images file")
-    s.add_argument("--labels", required=True, help="IDX labels file")
+    s = sub.add_parser("sweep", parents=[io], help="accuracy across a grid of rotation angles")
     s.add_argument("--angles", type=int, default=64,
                    help="number of evenly spaced angles in [0, 360)")
     s.add_argument("--out", default="sweep.csv", help="output CSV path")
-    s.add_argument("--batch-size", type=int, default=256)
     s.set_defaults(func=cmd_sweep)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient suite")

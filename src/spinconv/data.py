@@ -13,7 +13,6 @@ from .errors import ConsistencyError, DimensionError, FormatError, InputError
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-SHAPE_CLASSES = ("bar", "l_corner", "t_junction", "disk")
 SHAPE_SIZE = 28
 
 
@@ -82,12 +81,21 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def write_idx(dataset: Dataset, images_path, labels_path):
-    """Write a dataset back out as an IDX pair (intensities rounded to the
-    nearest byte)."""
+    """Write a raw dataset back out as an IDX pair (intensities rounded to
+    the nearest byte). Intensities outside [0, 1], NaN among them, and
+    labels outside [0, 255] have no byte and are refused before either
+    file is opened."""
     n, c, h, w = dataset.images.shape
     if c != 1:
         raise DimensionError(f"IDX stores single-channel images, got {c} channels")
-    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
+    images, labels = dataset.images, dataset.labels
+    if not np.all((images >= 0.0) & (images <= 1.0)):
+        raise InputError("IDX stores intensities in [0, 1], got values outside it "
+                         "or NaN; write a raw dataset, not a preprocessed one")
+    if labels.size and (labels.min() < 0 or labels.max() > 255):
+        raise InputError(f"IDX stores labels in [0, 255], got "
+                         f"[{labels.min()}, {labels.max()}]")
+    pixels = np.rint(images * 255.0).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
         f.write(pixels.tobytes())

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RUN_FIELDS, SCHEDULE_FIELDS, network_shapes
+from .config import RUN_FIELDS, network_shapes
 from .data import center_crop
 from .errors import ConsistencyError, InputError, NumericalAbort
 from .evaluation import predict_logits, top_k_accuracy
@@ -77,7 +77,7 @@ def sgd_momentum_step(net: Network, state: OptimizerState, grads: dict):
 # Initialization
 # ---------------------------------------------------------------------------
 
-def _construct(fields: dict, shape, rng_select, mask_seeds, dtype):
+def _construct(fields: dict, shape, rng_select, mask_ss, dtype):
     """The layer for one entry of the shape pass; in-sizes come from `shape`."""
     args = {k: v for k, v in fields.items() if k != "kind"}
     constructors = {
@@ -90,7 +90,7 @@ def _construct(fields: dict, shape, rng_select, mask_seeds, dtype):
         "flatten": FlattenLayer,
         "fc": lambda: FcLayer(shape[0], **args, dtype=dtype),
         "dropout": lambda: DropoutLayer(
-            **args, rng=np.random.default_rng(mask_seeds.pop(0))),
+            **args, rng=np.random.default_rng(mask_ss.spawn(1)[0])),
     }
     return constructors[fields["kind"]]()
 
@@ -105,9 +105,7 @@ def init_weights(spec: NetworkSpec, seed: int, dtype=np.float32) -> Network:
     init_ss, select_ss, mask_ss, shuffle_ss = ss.spawn(4)
     rng_init = np.random.default_rng(init_ss)
     rng_select = np.random.default_rng(select_ss)
-    n_dropout = sum(1 for fields, _, _ in plan if fields["kind"] == "dropout")
-    mask_seeds = list(mask_ss.spawn(max(n_dropout, 1)))
-    layers = [_construct(fields, shape, rng_select, mask_seeds, dtype)
+    layers = [_construct(fields, shape, rng_select, mask_ss, dtype)
               for fields, shape, _ in plan]
 
     for layer in layers:
@@ -116,8 +114,6 @@ def init_weights(spec: NetworkSpec, seed: int, dtype=np.float32) -> Network:
                 arr[...] = rng_init.normal(0.0, WEIGHT_INIT_STD, arr.shape)
             elif name == "bias":
                 arr[...] = BIAS_INIT
-            elif name == "slope":
-                arr[...] = 0.25
 
     net = Network(layers, spec, seed)
     net.data_rng = np.random.default_rng(shuffle_ss)
@@ -280,21 +276,13 @@ def train_epoch(net: Network, images: np.ndarray, labels: np.ndarray,
     return {"loss": loss_sum / n, "top1": correct / n}
 
 
-@dataclass
-class LrSchedule:
-    """Learning-rate schedule: 'fixed', or 'plateau' which multiplies the
-    rate by `factor` after `patience` epochs without improvement of the
-    monitored loss (validation loss when a validation split is given,
-    training loss otherwise). The defaults and checks are the config's."""
-
-    kind: str = SCHEDULE_FIELDS["kind"][0]
-    factor: float = SCHEDULE_FIELDS["factor"][0]
-    patience: int = SCHEDULE_FIELDS["patience"][0]
-
-
 def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
-        schedule: LrSchedule = None, val_images=None, val_labels=None, on_row=None):
-    """Train for a number of epochs with an optional plateau schedule.
+        schedule: dict = None, val_images=None, val_labels=None, on_row=None):
+    """Train for a number of epochs under `schedule`, the fields of
+    `config.SCHEDULE_FIELDS` as config resolves them, or a fixed rate when
+    None: 'plateau' multiplies the rate by `factor` after `patience` epochs
+    without improvement of the monitored loss (validation loss when a
+    validation split is given, training loss otherwise).
 
     Returns per-epoch metric rows as dicts with keys epoch, split, loss,
     top1 (split is 'train' or 'val'); `on_row`, when given, is called with
@@ -302,7 +290,7 @@ def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
     `predict_logits` on a throwaway inference copy of the current weights;
     it and `train_epoch` center-crop their images to the network input.
     """
-    schedule = schedule or LrSchedule(kind="fixed")
+    schedule = schedule or {"kind": "fixed"}
     rows, best, stall = [], float("inf"), 0
 
     def emit(row):
@@ -320,12 +308,12 @@ def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
             monitored, _ = softmax_cross_entropy(logits, val_labels)
             emit({"epoch": epoch, "split": "val", "loss": monitored,
                   "top1": top_k_accuracy(logits, val_labels, 1)})
-        if schedule.kind == "plateau":
+        if schedule["kind"] == "plateau":
             if monitored < best - 1e-6:
                 best, stall = monitored, 0
             else:
                 stall += 1
-                if stall >= schedule.patience:
-                    state.learning_rate *= schedule.factor
+                if stall >= schedule["patience"]:
+                    state.learning_rate *= schedule["factor"]
                     stall = 0
     return rows

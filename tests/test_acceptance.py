@@ -16,8 +16,8 @@ from spinconv import cli, data, evaluation, oracle
 from spinconv.kernel_transforms import bank_index
 from spinconv.layers import (ConvLayer, DropoutLayer, FrpcConvLayer,
                              NetworkSpec, RpcConvLayer, sdropout_forward)
-from spinconv.training import (LrSchedule, OptimizerState, backward_training,
-                               fit, forward_training, init_weights,
+from spinconv.training import (OptimizerState, backward_training, fit,
+                               forward_training, init_weights,
                                sgd_momentum_step, to_inference, train_epoch)
 
 
@@ -296,7 +296,7 @@ def test_c09_rotation_robustness():
         _rescale(net, seed + 33)
         state = OptimizerState(learning_rate=0.1, momentum=0.9, batch_size=64)
         fit(net, train.images, train.labels, state, epochs=60,
-            schedule=LrSchedule(kind="plateau", factor=0.1, patience=2))
+            schedule={"kind": "plateau", "factor": 0.1, "patience": 2})
         rep = evaluation.rotation_sweep(to_inference(net), test, angles)
         return (float(np.mean([t for _, t, _ in rep.rows])),
                 float(np.mean([t for a, t, _ in rep.rows if 135.0 <= a <= 225.0])))

@@ -129,6 +129,32 @@ def test_aborted_train_keeps_finished_metric_rows(tmp_path, monkeypatch, capsys)
     assert sorted(os.listdir(tmp_path / "run")) == ["metrics.csv"]
 
 
+def test_train_diverging_run_exits_4_with_one_error_line(tmp_path):
+    cfg, _ = _config(tmp_path, epochs=1, batch_size=2, learning_rate=1e30)
+    stderr = _assert_config_error_exit("train", "--config", cfg, code=4)
+    assert stderr.splitlines() == ["error: non-finite training loss nan"]
+    assert "Warning" not in stderr
+
+
+@pytest.mark.parametrize("input_shape,message", [
+    ([3, 24, 24], "images have 1 channels, the network input has 3"),
+    ([1, 30, 30], "images of 28x28 are smaller than the network input of 30x30"),
+], ids=["channels", "size"])
+def test_train_dataset_geometry_exits_before_touching_output(tmp_path, input_shape,
+                                                             message):
+    cfg, _ = _config(tmp_path)
+    assert cli.main(["--threads", "1", "train", "--config", cfg]) == 0
+    names = ("metrics.csv", "checkpoint.bin", "run.json")
+    before = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+    bad, _ = _config(tmp_path, network={
+        "input_shape": input_shape,
+        "layers": [{"kind": "flatten"}, {"kind": "fc", "out_features": 4}]})
+    err = _assert_config_error_exit("train", "--config", bad)
+    assert f"config.dataset: {message}" in err
+    for name, blob in before.items():
+        assert (tmp_path / "run" / name).read_bytes() == blob, name
+
+
 def test_train_bad_fraction_exit_code(tmp_path, capsys):
     cfg_path, _ = _config(tmp_path, network={
         "input_shape": [1, 28, 28],

@@ -115,6 +115,31 @@ def test_idx_round_trip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
 
 
+@pytest.mark.parametrize("images,labels", [
+    (np.full((3, 1, 4, 4), 0.5, np.float32), np.array([0, 256, 1])),
+    (np.full((3, 1, 4, 4), 0.5, np.float32), np.array([0, -1, 1])),
+    (np.full((3, 1, 4, 4), 1.5, np.float32), np.array([0, 1, 2])),
+    (np.full((3, 1, 4, 4), -0.25, np.float32), np.array([0, 1, 2])),
+    (np.full((3, 1, 4, 4), np.nan, np.float32), np.array([0, 1, 2])),
+], ids=["label-256", "label-negative", "intensity-above-1", "intensity-below-0",
+        "intensity-nan"])
+def test_write_idx_refuses_values_a_byte_cannot_hold(tmp_path, images, labels):
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    with pytest.raises(InputError, match="IDX stores"):
+        data.write_idx(data.Dataset(images=images, labels=labels), str(ip), str(lp))
+    assert not ip.exists() and not lp.exists()
+
+
+def test_dataset_and_write_idx_shape_checks(tmp_path):
+    with pytest.raises(DimensionError, match=r"images must be \[N,C,H,W\]"):
+        data.Dataset(images=np.zeros((2, 4, 4)), labels=np.zeros(2, int))
+    with pytest.raises(ConsistencyError, match="2 images but 3 labels"):
+        data.Dataset(images=np.zeros((2, 1, 4, 4)), labels=np.zeros(3, int))
+    rgb = data.Dataset(images=np.zeros((2, 3, 4, 4)), labels=np.zeros(2, int))
+    with pytest.raises(DimensionError, match="single-channel images, got 3 channels"):
+        data.write_idx(rgb, str(tmp_path / "im.idx"), str(tmp_path / "lb.idx"))
+
+
 @pytest.mark.skipif(not os.path.exists(MNIST_IMAGES),
                     reason="MNIST training files not present")
 def test_load_idx_mnist_training_set():

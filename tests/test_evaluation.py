@@ -36,7 +36,7 @@ def trained():
     _rescale_init(net, seed=99)
     state = tr.OptimizerState(learning_rate=0.2, momentum=0.9, batch_size=64)
     tr.fit(net, ds.images, ds.labels, state, epochs=6,
-           schedule=tr.LrSchedule(kind="fixed"))
+           schedule={"kind": "fixed"})
     return tr.to_inference(net), ds
 
 
@@ -173,6 +173,25 @@ def test_sweep_disk_subset_is_flat(trained):
     report = ev.rotation_sweep(net, disks, ev.sweep_angles(8))
     accs = [t for _, t, _ in report.rows]
     assert max(accs) - min(accs) <= 0.02
+
+
+def test_sweep_rotates_raw_images_without_a_mean(trained):
+    # a dataset that was never preprocessed has no mean to add back, so
+    # each row scores the plain rotation of the images as given
+    net, _ = trained
+    raw = data.make_rotated_shapes(5, seed=8)
+    assert raw.mean_image is None
+    report = ev.rotation_sweep(net, raw, [0.0, 30.0, 90.0])
+    for angle, top1, p_true in report.rows:
+        images = raw.images if angle == 0.0 else data.rotate_batch(raw.images, angle)
+        logits = ev.predict_logits(net, images)
+        probs = np.asarray(softmax(logits), dtype=np.float64)
+        assert top1 == ev.top_k_accuracy(logits, raw.labels, 1)
+        assert p_true == float(probs[np.arange(len(raw.labels)), raw.labels].mean())
+    # a zero mean adds and subtracts nothing
+    zero = data.Dataset(images=raw.images, labels=raw.labels,
+                        mean_image=np.zeros_like(raw.images[0]))
+    assert ev.rotation_sweep(net, zero, [0.0, 30.0, 90.0]).rows == report.rows
 
 
 def test_sweep_csv_format(trained):

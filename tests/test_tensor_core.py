@@ -564,3 +564,46 @@ def test_conv_naive_equivalence_property(n, c, hw, stride, pad, seed):
                       bias=rng.normal(size=2), stride=stride, pad=pad)
     y = tc.conv2d_forward(x, p)
     assert oracle.relative_error(y, oracle.naive_conv(x, p)).max() <= 1e-6
+
+
+def _params(weights=(2, 1, 3, 3), bias=2, stride=1, pad=0):
+    return tc.ConvParams(weights=np.zeros(weights), bias=np.zeros(bias),
+                         stride=stride, pad=pad)
+
+
+_X = np.zeros((2, 1, 5, 5))
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: _params(weights=(2, 1, 3)), "must be 4-d [out, in, k, k]"),
+    (lambda: _params(weights=(2, 1, 3, 5)), "must be square, got 3x5"),
+    (lambda: _params(bias=3), "does not match out_channels 2"),
+    (lambda: _params(stride=0), "stride must be positive, got 0"),
+    (lambda: _params(pad=-1), "pad must be non-negative, got -1"),
+    (lambda: tc.conv2d_forward(_X[0], _params()), "conv input must be 4-d"),
+    (lambda: tc.maxpool2d_forward(_X[0], 2, 2), "pool input must be 4-d"),
+    (lambda: tc.maxpool2d_backward(np.zeros((2, 1, 2, 2)),
+                                   np.zeros((2, 1, 2, 3), np.intp), _X.shape),
+     "does not match argmax shape"),
+    (lambda: tc.fc_forward(_X, np.zeros((3, 25)), np.zeros(3)), "fc input must be 2-d"),
+    (lambda: tc.fc_forward(np.zeros((2, 24)), np.zeros((3, 25)), np.zeros(3)),
+     "fc input width 24 does not match weight width 25"),
+    (lambda: tc.fc_backward(np.zeros((2, 4)), np.zeros((2, 25)), np.zeros((3, 25))),
+     "does not match output shape (2, 3)"),
+    (lambda: tc.relu_backward(np.zeros((2, 3)), np.zeros((2, 4))),
+     "does not match input shape (2, 4)"),
+    (lambda: tc.prelu_forward(np.zeros((2, 3)), np.zeros(4)),
+     "does not match channel count 3"),
+    (lambda: tc.prelu_backward(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(4)),
+     "does not match input shape (2, 4)"),
+    (lambda: tc.softmax_cross_entropy(np.zeros(4), np.zeros(4, int)), "logits must be 2-d"),
+    (lambda: tc.softmax_cross_entropy(np.zeros((2, 4)), np.zeros(3, int)),
+     "labels shape (3,) does not match batch size 2"),
+], ids=["weights-rank", "non-square", "bias-length", "stride", "pad", "conv-input-rank",
+        "pool-input-rank", "pool-grad-shape", "fc-input-rank", "fc-width",
+        "fc-grad-shape", "relu-grad-shape", "prelu-slope-length", "prelu-grad-shape",
+        "logits-rank", "labels-shape"])
+def test_input_checks_name_the_bad_argument(call, fragment):
+    with pytest.raises(DimensionError) as info:
+        call()
+    assert fragment in str(info.value)

@@ -622,7 +622,7 @@ def test_fit_plateau_schedule_decays_learning_rate():
     images = _vecs(rng, 6, 3)
     labels = rng.integers(0, 3, size=6)
     state = tr.OptimizerState(learning_rate=1e-12, momentum=0.0, batch_size=6)
-    schedule = tr.LrSchedule(kind="plateau", factor=0.1, patience=2)
+    schedule = {"kind": "plateau", "factor": 0.1, "patience": 2}
     rows = tr.fit(net, images, labels, state, epochs=3, schedule=schedule)
     assert state.learning_rate == pytest.approx(1e-13, rel=1e-9)
     assert [r["epoch"] for r in rows] == [1, 2, 3]
@@ -636,7 +636,7 @@ def test_fit_fixed_schedule_keeps_learning_rate():
     labels = rng.integers(0, 3, size=6)
     state = tr.OptimizerState(learning_rate=0.05, momentum=0.0, batch_size=6)
     tr.fit(net, images, labels, state, epochs=3,
-           schedule=tr.LrSchedule(kind="fixed"))
+           schedule={"kind": "fixed"})
     assert state.learning_rate == 0.05
 
 
