@@ -140,7 +140,7 @@ def _evaluation_inputs(args):
                           "mean image; cannot preprocess evaluation data")
     net = to_inference(net)
     ds = _dataset({"kind": "idx", "images": args.images, "labels": args.labels},
-                  net.spec, args.labels, meta["mean_image"])
+                  net.spec, f"{args.images}, {args.labels}", meta["mean_image"])
     return net, meta, ds
 
 

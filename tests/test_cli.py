@@ -579,6 +579,23 @@ def test_checkpoint_without_mean_image_exit_code(tmp_path, command):
     assert f"checkpoint {ckpt} carries no training mean image" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_images_smaller_than_checkpoint_input_exit_code(tmp_path, capsys, command):
+    from spinconv import checkpoint, training
+    from spinconv.layers import NetworkSpec
+    spec = NetworkSpec(input_shape=(1, 30, 30), layers=[
+        {"kind": "flatten"}, {"kind": "fc", "out_features": 4}])
+    ckpt = str(tmp_path / "wide.bin")
+    checkpoint.save_checkpoint(training.init_weights(spec, seed=2), ckpt,
+                               mean_image=np.zeros((1, 30, 30), np.float32))
+    images, labels = _write_eval_idx(tmp_path)
+    extra = ["--angles", "2", "--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    assert cli.main([command, "--checkpoint", ckpt, "--images", images,
+                     "--labels", labels, *extra]) == 2
+    assert (f"{images}, {labels}: images of 28x28 are smaller than the network "
+            "input of 30x30") in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
