@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .config import _is_int, network_shapes
+from .config import _is_int
 from .data import _read_exact
 from .errors import ConfigError, FormatError
 from .layers import NetworkSpec
@@ -142,12 +142,10 @@ def load_checkpoint(path):
                 and all(_is_int(v) and v >= 0 for v in mean_shape)):
             mean_shape = None
         try:
-            network_shapes(header.get("input_shape"), header.get("layers"), where)
+            net = init_weights(NetworkSpec(header.get("input_shape"),
+                                           header.get("layers")), seed)
         except ConfigError as e:
-            raise FormatError(str(e)) from e
-
-        net = init_weights(NetworkSpec(input_shape=tuple(header["input_shape"]),
-                                       layers=header["layers"]), seed)
+            raise FormatError(f"{where}: {e}") from e
         want = _header(net, mean_shape, extra)
         for key in sorted(set(header) | set(want)):
             got, wanted = (_canonical(h[key]) if key in h else "absent"

@@ -37,9 +37,9 @@ def _write_json(path, value):
 def _dataset(dcfg: dict, spec, name, mean_image=None):
     """The dataset `dcfg` describes (IDX or synthetic), preprocessed with its
     own mean or the one given. Exit 2 unless the images have the channels
-    of the network `spec`'s input and at least its height and width (the
-    crop rule of training and inference), and every label indexes one of
-    its outputs, the first axis of its final output shape."""
+    of the network `spec`'s input, at least its height and width (the crop
+    rule of training and inference) and the given mean's shape, and every
+    label indexes one of its outputs, the first axis of its output shape."""
     from . import data
     from .config import network_shapes
     if dcfg["kind"] == "idx":
@@ -53,6 +53,9 @@ def _dataset(dcfg: dict, spec, name, mean_image=None):
     if rows < h or cols < w:
         raise ConfigError(f"{name}: images of {rows}x{cols} are smaller than the "
                           f"network input of {h}x{w}")
+    if mean_image is not None and mean_image.shape != ds.images.shape[1:]:
+        raise ConfigError(f"{name}: images of shape {ds.images.shape[1:]} do not "
+                          f"match the training mean image of shape {mean_image.shape}")
     ds = data.preprocess(ds, mean_image)
     labels = ds.labels
     width = network_shapes(spec.input_shape, spec.layers, "network")[-1][2][0]
@@ -162,8 +165,10 @@ def cmd_sweep(args) -> int:
     from . import evaluation
 
     angles = evaluation.sweep_angles(args.angles)
-    # the output is opened only after the sweep, so a missing directory
-    # fails here, as opening it would, before any file is read
+    # --out is opened only after the sweep, so a directory in its place or a
+    # missing parent fails here, as opening it would, before any file is read
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     net, meta, ds = _evaluation_inputs(args)

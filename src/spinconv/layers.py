@@ -100,6 +100,10 @@ class DropoutLayer(Layer):
         cache["mask"] = mask
         return y
 
+    def infer(self, x):
+        raise ConsistencyError("network still contains dropout layers; convert "
+                               "with to_inference before evaluating")
+
     def backward(self, grad_out, cache):
         if "mask" not in cache:
             raise ConsistencyError("dropout backward called without a matching forward")
@@ -392,12 +396,8 @@ class Network:
 
     def forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Inference chain through each layer's `infer`, so no backward state
-        (pool argmax indices, orientation winners) is computed; requires
-        dropout to have been folded away."""
+        (pool argmax indices, orientation winners) is computed; a dropout
+        layer's `infer` refuses, so dropout must be folded away first."""
         for layer in self.layers:
-            if isinstance(layer, DropoutLayer):
-                raise ConsistencyError(
-                    "network still contains dropout layers; convert with "
-                    "to_inference before evaluating")
             x = layer.infer(x)
         return x

@@ -12,6 +12,7 @@ so every comparison against the oracle checks those tables too.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 
@@ -322,12 +323,8 @@ def _oriented_case(seed, flip):
     return _probe_layer(layer, x, rng, (50, 48, 4), guard=("rot_win", "flip_win"))
 
 
-def _check_rpc(seed):
-    return _oriented_case(seed, flip=False)
-
-
-def _check_frpc(seed):
-    return _oriented_case(seed, flip=True)
+_check_rpc = functools.partial(_oriented_case, flip=False)
+_check_frpc = functools.partial(_oriented_case, flip=True)
 
 
 _CHECKS = {"conv": _check_conv, "fc": _check_fc, "relu": _check_relu,

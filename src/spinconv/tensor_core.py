@@ -299,8 +299,8 @@ def _first_max(views, winners: bool):
     """Elementwise max over equally shaped views and, with `winners`, the
     index of the view that wins it (None otherwise): the first maximum, or
     where a NaN occurs the first NaN, as np.argmax picks. The index dtype is
-    the smallest signed integer that holds -len(views). A single view comes
-    back as it is, not copied.
+    the smallest signed integer that holds -len(views). The max is always a
+    fresh array, a single view's copy included.
 
     The winner is the number of leading views that miss the maximum.
     np.maximum propagates NaN, so where the maximum is NaN a view misses
@@ -308,7 +308,7 @@ def _first_max(views, winners: bool):
     +0.0 and -0.0 its bytes may be the other zero than the view at the
     reported index.
     """
-    best = views[0] if len(views) == 1 else np.maximum(views[0], views[1])
+    best = views[0].copy() if len(views) == 1 else np.maximum(views[0], views[1])
     for v in views[2:]:
         np.maximum(best, v, out=best)
     if not winners:
@@ -354,14 +354,12 @@ def maxpool2d_forward(x: np.ndarray, window: int, stride: int, indices: bool = T
                            for b in range(window)], False)[0]
         y = _first_max([rows[:, :, a:a + stride * (h_out - 1) + 1:stride]
                         for a in range(window)], False)[0]
-        return (y.copy() if window == 1 else y), None
+        return y, None
     # one strided view per window position, in row-major window order
     views = [x[:, :, a:a + stride * (h_out - 1) + 1:stride,
                b:b + stride * (w_out - 1) + 1:stride]
              for a in range(window) for b in range(window)]
     y, local = _first_max(views, True)
-    if window == 1:
-        y = y.copy()  # a lone view is a view of x
     plane_offset = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
     argmax = plane_offset.take(local)
     argmax += (np.arange(h_out)[:, None] * (stride * w)

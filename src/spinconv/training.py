@@ -281,14 +281,14 @@ def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
     """Train for a number of epochs under `schedule`, the fields of
     `config.SCHEDULE_FIELDS` as config resolves them, or a fixed rate when
     None: 'plateau' multiplies the rate by `factor` after `patience` epochs
-    without improvement of the monitored loss (validation loss when a
-    validation split is given, training loss otherwise).
+    without improvement of the training loss.
 
     Returns per-epoch metric rows as dicts with keys epoch, split, loss,
     top1 (split is 'train' or 'val'); `on_row`, when given, is called with
-    each row as soon as it is complete. Validation metrics come from
-    `predict_logits` on a throwaway inference copy of the current weights;
-    it and `train_epoch` center-crop their images to the network input.
+    each row as soon as it is complete. Validation is only reported, never
+    monitored: its metrics come from `predict_logits` on a throwaway
+    inference copy of the current weights; it and `train_epoch` center-crop
+    their images to the network input.
     """
     schedule = schedule or {"kind": "fixed"}
     rows, best, stall = [], float("inf"), 0
@@ -302,15 +302,14 @@ def fit(net: Network, images, labels, state: OptimizerState, epochs: int,
         metrics = train_epoch(net, images, labels, state)
         emit({"epoch": epoch, "split": "train",
               "loss": metrics["loss"], "top1": metrics["top1"]})
-        monitored = metrics["loss"]
         if val_images is not None:
             logits = predict_logits(to_inference(net), val_images, state.batch_size)
-            monitored, _ = softmax_cross_entropy(logits, val_labels)
-            emit({"epoch": epoch, "split": "val", "loss": monitored,
+            emit({"epoch": epoch, "split": "val",
+                  "loss": softmax_cross_entropy(logits, val_labels)[0],
                   "top1": top_k_accuracy(logits, val_labels, 1)})
         if schedule["kind"] == "plateau":
-            if monitored < best - 1e-6:
-                best, stall = monitored, 0
+            if metrics["loss"] < best - 1e-6:
+                best, stall = metrics["loss"], 0
             else:
                 stall += 1
                 if stall >= schedule["patience"]:

@@ -104,6 +104,56 @@ def test_train_is_byte_deterministic(tmp_path):
         assert (tmp_path / "run" / name).read_bytes() == blob, name
 
 
+def test_results_do_not_depend_on_the_thread_count(tmp_path):
+    """The README network at batch 128, so the BLAS GEMMs are large enough
+    to split across threads: training, ten-view eval and sweep give the
+    same bytes at --threads 1 and 2. Both trainings write to one
+    output_dir, which the checkpoint header echoes."""
+    cfg, _ = _config(tmp_path, epochs=2, batch_size=128, learning_rate=0.01, network={
+        "input_shape": [1, 28, 28],
+        "layers": [
+            {"kind": "conv", "out_channels": 16, "kernel": 5, "pad": 2},
+            {"kind": "relu"},
+            {"kind": "maxpool", "window": 2, "stride": 2},
+            {"kind": "rpc_conv", "out_channels": 32, "kernel": 3, "pad": 1,
+             "rotate_fraction": 0.5},
+            {"kind": "relu"},
+            {"kind": "maxpool", "window": 2, "stride": 2},
+            {"kind": "flatten"},
+            {"kind": "fc", "out_features": 256},
+            {"kind": "relu"},
+            {"kind": "dropout", "p": 0.5, "mode": "split"},
+            {"kind": "fc", "out_features": 10}]},
+        dataset={"kind": "synthetic_shapes", "n_per_class": 64, "seed": 1},
+        val_dataset={"kind": "synthetic_shapes", "n_per_class": 8, "seed": 2})
+    images, labels = _write_eval_idx(tmp_path, n_per_class=16, seed=4)
+    ckpt = str(tmp_path / "run" / "checkpoint.bin")
+
+    def spinconv(threads, *argv):
+        p = subprocess.run([sys.executable, "-m", "spinconv", "--threads", str(threads),
+                            *argv], capture_output=True, text=True, env=_src_env(),
+                           timeout=300)
+        assert p.returncode == 0, p.stderr
+        return p.stdout
+
+    outputs = {}
+    for threads in (1, 2):
+        spinconv(threads, "train", "--config", cfg)
+        out = str(tmp_path / f"sweep-{threads}.csv")
+        outputs[threads] = [
+            (tmp_path / "run" / "checkpoint.bin").read_bytes(),
+            (tmp_path / "run" / "metrics.csv").read_bytes(),
+            spinconv(threads, "eval", "--checkpoint", ckpt, "--images", images,
+                     "--labels", labels, "--ten-view"),
+            spinconv(threads, "sweep", "--checkpoint", ckpt, "--images", images,
+                     "--labels", labels, "--angles", "16", "--out", out).replace(out, ""),
+            open(out, "rb").read(), open(out + ".meta.json", "rb").read()]
+    for name, one, two in zip(("checkpoint.bin", "metrics.csv", "eval --ten-view",
+                               "sweep stdout", "sweep.csv", "sweep .meta.json"),
+                              outputs[1], outputs[2]):
+        assert one == two, name
+
+
 def test_aborted_train_keeps_finished_metric_rows(tmp_path, monkeypatch, capsys):
     from spinconv import training
     from spinconv.errors import NumericalAbort
@@ -596,6 +646,44 @@ def test_images_smaller_than_checkpoint_input_exit_code(tmp_path, capsys, comman
             "input of 30x30") in capsys.readouterr().err
 
 
+def _write_32x32_idx(tmp_path):
+    """Four 32x32 images: larger than a 28x28 input, so the crop would fit
+    them, but of another shape than a 28x28 training mean."""
+    rng = np.random.default_rng(5)
+    ds = data.Dataset(images=rng.random((4, 1, 32, 32)).astype(np.float32),
+                      labels=np.arange(4))
+    ip, lp = str(tmp_path / "wide-images.idx"), str(tmp_path / "wide-labels.idx")
+    data.write_idx(ds, ip, lp)
+    return ip, lp
+
+
+def test_train_val_images_unlike_the_training_mean_exit_before_touching_output(
+        tmp_path):
+    cfg, _ = _config(tmp_path)
+    assert cli.main(["--threads", "1", "train", "--config", cfg]) == 0
+    names = ("metrics.csv", "checkpoint.bin", "run.json")
+    before = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+    images, labels = _write_32x32_idx(tmp_path)
+    bad, _ = _config(tmp_path, val_dataset={"kind": "idx", "images": images,
+                                            "labels": labels})
+    err = _assert_config_error_exit("train", "--config", bad)
+    assert ("config.val_dataset: images of shape (1, 32, 32) do not match the "
+            "training mean image of shape (1, 28, 28)") in err
+    for name, blob in before.items():
+        assert (tmp_path / "run" / name).read_bytes() == blob, name
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_images_unlike_the_checkpoint_mean_exit_code(overfit_run, tmp_path, command):
+    ckpt, _, _ = overfit_run
+    images, labels = _write_32x32_idx(tmp_path)
+    extra = ["--angles", "2", "--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    err = _assert_config_error_exit(command, "--checkpoint", ckpt, "--images", images,
+                                    "--labels", labels, *extra)
+    assert (f"{images}, {labels}: images of shape (1, 32, 32) do not match the "
+            "training mean image of shape (1, 28, 28)") in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -662,6 +750,25 @@ def test_sweep_out_in_missing_directory_exits_before_sweeping(overfit_run, tmp_p
     assert err.startswith("error:") and out in err
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "missing")
+
+
+def test_sweep_out_naming_a_directory_exits_before_sweeping(overfit_run, tmp_path,
+                                                            monkeypatch, capsys):
+    from spinconv import evaluation
+
+    def rotation_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(evaluation, "rotation_sweep", rotation_sweep)
+    ckpt, images, labels = overfit_run
+    out = str(tmp_path / "outdir")
+    os.mkdir(out)
+    assert cli.main(["sweep", "--checkpoint", ckpt, "--images", images,
+                     "--labels", labels, "--angles", "2", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and out in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
 
 
 def test_sweep_single_angle_matches_eval(overfit_run, tmp_path, capsys):

@@ -655,3 +655,30 @@ def test_fit_reports_validation_rows():
         (1, "train"), (1, "val"), (2, "train"), (2, "val")]
     for r in rows:
         assert set(r) == {"epoch", "split", "loss", "top1"}
+
+
+def test_fit_validation_split_does_not_steer_the_schedule():
+    # val labels one class off the training labels: the val loss stalls at
+    # epoch 2 while the training loss improves, so a schedule that read it
+    # would cut the rate there (patience 1)
+    layers = [{"kind": "fc", "out_features": 8},
+              {"kind": "dropout", "mode": "split"},
+              {"kind": "fc", "out_features": 3}]
+    rng = np.random.default_rng(16)
+    images = _vecs(rng, 24, 4)
+    labels = images[:, 0, 0, :3].argmax(axis=1)
+    schedule = {"kind": "plateau", "factor": 0.1, "patience": 1}
+    runs = []
+    for val_images, val_labels in ((None, None), (images, (labels + 1) % 3)):
+        net = _flat_net(layers, seed=4)
+        state = tr.OptimizerState(learning_rate=0.5, momentum=0.0, batch_size=24)
+        rows = tr.fit(net, images, labels, state, 5, schedule, val_images, val_labels)
+        runs.append((net, state.learning_rate, rows))
+    (plain, plain_lr, plain_rows), (watched, watched_lr, watched_rows) = runs
+    train = [r["loss"] for r in plain_rows]
+    val = [r["loss"] for r in watched_rows if r["split"] == "val"]
+    assert train[1] < train[0] - 1e-6 and val[1] >= val[0] - 1e-6
+    assert [r for r in watched_rows if r["split"] == "train"] == plain_rows
+    assert watched_lr == plain_lr
+    for (_, _, a), (_, _, b) in zip(plain.named_params(), watched.named_params()):
+        assert np.array_equal(a, b)
