@@ -344,7 +344,7 @@ class FcLayer(Layer):
 
     def forward(self, x, cache):
         cache["x"] = x
-        return fc_forward(x, self.weights, self.bias)
+        return fc_forward(x, self.weights, self.bias, cache.get("split"))
 
     def backward(self, grad_out, cache, input_grad=True):
         if "x" not in cache:

@@ -11,6 +11,11 @@ sums and the conv's sums over image chunks stay in double precision.
 Passing float64 inputs runs every kernel wholly in double precision, which
 is what the gradient-check suite does.
 
+An fc forward after a split-mode dropout takes the split's 0/1 mask: of the
+stacked [m*y; (1-m)*y], the top half contracts only over the mask's columns
+and the bottom half over the rest, two GEMMs into one float64 result, so
+the zeroed columns are never multiplied. Its backward stays stacked.
+
 Convolution is cross-correlation (no kernel mirroring) with zero padding,
 lowered to a GEMM against a channel-major [C*k*k, n*H'*W'] column matrix,
 so the product comes out channel-major, [O, n*H'*W']. Forward and backward
@@ -390,14 +395,44 @@ def maxpool2d_backward(grad_out: np.ndarray, argmax_indices: np.ndarray,
 # Fully connected
 # ---------------------------------------------------------------------------
 
-def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map: x [N,d] @ weights [out,d].T + bias [out]."""
+def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+               split: np.ndarray = None) -> np.ndarray:
+    """Affine map: x [N,d] @ weights [out,d].T + bias [out].
+
+    `split` is the 0/1 mask [d] of the split dropout that stacked x as
+    [m*y; (1-m)*y]: rows :N/2 then contract only over the columns where the
+    mask is 1 and rows N/2: over the rest, so the zeroed columns are never
+    multiplied. Gathering a half's columns from x is exact (y*1 is y). Every
+    column lies in exactly one half, so an inf or NaN of y still reaches
+    the output; only the stacked product's inf*0 = NaN in the other half
+    goes.
+    """
     if x.ndim != 2:
         raise DimensionError(f"fc input must be 2-d [N,d], got shape {x.shape}")
     if x.shape[1] != weights.shape[1]:
         raise DimensionError(
             f"fc input width {x.shape[1]} does not match weight width {weights.shape[1]}")
-    y = np.asarray(x, dtype=np.float64) @ np.asarray(weights, dtype=np.float64).T
+    if bias.shape != weights.shape[:1]:
+        raise DimensionError(
+            f"fc bias shape {bias.shape} does not match weights {weights.shape}")
+    if split is None:
+        y = np.asarray(x, dtype=np.float64) @ np.asarray(weights, dtype=np.float64).T
+    else:
+        if x.shape[0] % 2 or split.shape != (x.shape[1],):
+            raise DimensionError(
+                f"split fc input {x.shape} needs an even row count and a mask of "
+                f"{x.shape[1]} units, got mask shape {split.shape}")
+        r = x.shape[0] // 2
+        y = np.empty((x.shape[0], weights.shape[0]))
+        keep = split != 0
+        # np.take gathers the weight columns several times faster than
+        # fancy indexing; taking x's columns too saved ~0.1 ms a call but
+        # added 4 MiB to the train_rpc bench's peak RSS
+        for rows, cols in ((slice(None, r), np.flatnonzero(keep)),
+                           (slice(r, None), np.flatnonzero(~keep))):
+            np.matmul(np.asarray(x[rows][:, cols], dtype=np.float64),
+                      np.asarray(weights.take(cols, axis=1), dtype=np.float64).T,
+                      out=y[rows])
     y += np.asarray(bias, dtype=np.float64)
     return y.astype(_working_dtype(x, weights), copy=False)
 
@@ -406,6 +441,9 @@ def fc_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray,
                 input_grad: bool = True):
     """Gradients of the affine map: (grad_input, grad_weights, grad_bias);
     grad_input is None without `input_grad`."""
+    if x.ndim != 2 or x.shape[1] != weights.shape[1]:
+        raise DimensionError(
+            f"fc input shape {x.shape} does not match weights {weights.shape}")
     if grad_out.shape != (x.shape[0], weights.shape[0]):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match output shape "

@@ -5,10 +5,13 @@ A network with n split-mode dropout layers defines 2^n subnetworks per
 step. Each split layer stacks the masked part of its input over the
 complement, so training is one forward chain over a batch that has grown
 to 2^n blocks of N rows, and one backward chain back. Block j took the
-complement at split s exactly when bit s of j is set. The step loss is the
-arithmetic mean of the per-block cross-entropy losses, so every parameter
-receives gradient every step. One mask is drawn per dropout layer per batch,
-in layer order, and shared by all blocks that reach it.
+complement at split s exactly when bit s of j is set. An fc right after a
+split layer gets that layer's mask in its cache, so in its forward each
+half of the stacked batch contracts only over the columns it kept. The
+step loss is the arithmetic mean of the per-block cross-entropy losses, so
+every parameter receives gradient every step. One mask is drawn per
+dropout layer per batch, in layer order, and shared by all blocks that
+reach it.
 
 The step owns every per-step value, and each is consumed once: the
 forward fills one cache per layer, the backward drops each once used and
@@ -154,15 +157,19 @@ def forward_training(net: Network, batch: np.ndarray, labels: np.ndarray,
     if net.inference:
         raise ConsistencyError("network was converted for inference; cannot train")
     pinned = pinned_masks or {}
+    splits = set(net.split_layers())
     caches = []
     act = batch
     for i, layer in enumerate(net.layers):
         cache = {}
         if isinstance(layer, DropoutLayer):
             cache["mask"] = pinned[i] if i in pinned else layer.draw_mask(act.shape[1])
+        elif isinstance(layer, FcLayer) and i - 1 in splits:
+            # the split's checked float32 mask: each half contracts over its own columns
+            cache["split"] = caches[i - 1]["mask"]
         act = layer.forward(act, cache)
         caches.append(cache)
-    n_split = len(net.split_layers())
+    n_split = len(splits)
     blocks, rows = 2 ** n_split, len(labels)
     if act.shape[0] != blocks * rows:
         raise ConsistencyError(

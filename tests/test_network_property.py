@@ -27,8 +27,9 @@ PROBES = 8  # coordinates probed per array
 @st.composite
 def _networks(draw):
     """(input shape, layers, classes): 1-2 conv stages, each conv, rpc or
-    frpc with relu or prelu and an optional max-pool, then an optional fc
-    with split or standard dropout, then an fc head."""
+    frpc with relu or prelu and an optional max-pool, then zero to two fc
+    stages, each with split or standard dropout (two splits nest), then an
+    fc head."""
     h, w = draw(st.integers(5, 11)), draw(st.integers(5, 10))
     w += w >= h  # never square
     layers = []
@@ -49,8 +50,8 @@ def _networks(draw):
             layers.append({"kind": "maxpool", "window": draw(st.integers(1, 2)),
                            "stride": draw(st.integers(1, 2))})
     layers.append({"kind": "flatten"})
-    mode = draw(st.sampled_from([None, "split", "standard"]))
-    if mode is not None:
+    for _ in range(draw(st.integers(0, 2))):
+        mode = draw(st.sampled_from(["split", "standard"]))
         p = 0.5 if mode == "split" else draw(st.sampled_from([0.3, 0.5, 0.7]))
         layers += [{"kind": "fc", "out_features": draw(st.integers(2, 6))},
                    {"kind": "dropout", "p": p, "mode": mode}]
@@ -142,7 +143,7 @@ def _check_inference(input_shape, layers, classes, seed):
     assert predict_logits(tr.to_inference(loaded), x).tobytes() == logits
 
 
-@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(_networks(), st.integers(0, 2 ** 16))
 def test_random_whole_networks(network, seed):
     input_shape, layers, classes = network

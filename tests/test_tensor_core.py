@@ -9,6 +9,7 @@ from spinconv import kernel_transforms as kt
 from spinconv import oracle
 from spinconv import tensor_core as tc
 from spinconv.errors import DimensionError, InputError
+from spinconv.layers import sdropout_forward
 
 
 def test_conv_sum_of_nine_ones():
@@ -478,6 +479,73 @@ def test_fc_backward_matches_finite_differences():
         assert oracle.relative_error(num, ana).max() <= 1e-4
 
 
+def _split_fc_case(rng, rows, d, o, mask=None, dtype=np.float32):
+    """The stacked input [m*y; (1-m)*y] of a post-relu y [rows, d], fc
+    weights [o, d] and bias in `dtype`, and the float32 mask m (drawn at
+    p = 0.5 unless given)."""
+    y = np.maximum(rng.normal(size=(rows, d)), 0).astype(dtype)
+    w = rng.normal(0.0, 0.05, size=(o, d)).astype(dtype)
+    b = rng.normal(size=o).astype(dtype)
+    m = (rng.random(d) < 0.5).astype(np.float32) if mask is None else mask
+    return sdropout_forward(y, m), w, b, m
+
+
+@pytest.mark.parametrize("rows,o", [(128, 512), (256, 512), (512, 4)])
+def test_split_fc_forward_is_the_stacked_forward(rows, o):
+    """An fc after a split contracts each half over its own columns only.
+    At the three post-split shapes of the split-MLP bench network, the
+    float32 output is byte-equal to the stacked product over the zeroed
+    columns, and the float64 one within 1e-12 of it."""
+    rng = np.random.default_rng(60)
+    for _ in range(20):
+        x, w, b, m = _split_fc_case(rng, rows, 512, o)
+        got = tc.fc_forward(x, w, b, m)
+        assert got.dtype == np.float32
+        assert got.tobytes() == tc.fc_forward(x, w, b).tobytes()
+    for _ in range(3):
+        x, w, b, m = _split_fc_case(rng, rows, 512, o, dtype=np.float64)
+        ref = tc.fc_forward(x, w, b)
+        assert _max_normalized(tc.fc_forward(x, w, b, m), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_split_fc_forward_degenerate_masks(bit, dtype):
+    """An all-zeros or all-ones mask leaves one half K = 0 columns: that
+    half gets the bias alone, as in the stacked product, and the other half
+    is the stacked result too: byte-equal in float32, within 1e-12 in
+    float64, whose GEMM over half the rows may sum in another order."""
+    rng = np.random.default_rng(61)
+    x, w, b, m = _split_fc_case(rng, 16, 40, 7, np.full(40, bit, np.float32), dtype)
+    got, ref = tc.fc_forward(x, w, b, m), tc.fc_forward(x, w, b)
+    empty, full = (slice(16, None), slice(None, 16))[::1 if bit else -1]
+    assert got[empty].tobytes() == ref[empty].tobytes() == np.tile(b, (16, 1)).tobytes()
+    if dtype == np.float32:
+        assert got.tobytes() == ref.tobytes()
+    assert _max_normalized(got[full], ref[full]) <= 1e-12
+
+
+def test_split_fc_forward_non_finite_reaches_one_half():
+    """An inf in column c of y reaches the loss through the half that owns
+    c, and only there: the other half's (m or 1-m)*inf = NaN in column c is
+    never contracted, where the stacked product spread it over that half."""
+    rng = np.random.default_rng(62)
+    y = np.maximum(rng.normal(size=(8, 30)), 0).astype(np.float32)
+    w = rng.normal(size=(5, 30)).astype(np.float32)
+    b = rng.normal(size=5).astype(np.float32)
+    m = (rng.random(30) < 0.5).astype(np.float32)
+    for col in (np.flatnonzero(m)[0], np.flatnonzero(1 - m)[0]):
+        y_inf = y.copy()
+        y_inf[3, col] = np.inf
+        with np.errstate(invalid="ignore"):
+            x = sdropout_forward(y_inf, m)
+        owner = 3 if m[col] else 8 + 3
+        finite = np.isfinite(tc.fc_forward(x, w, b, m))
+        assert not finite[owner].any()
+        assert finite.sum() == finite.size - 5
+        assert not np.isfinite(tc.fc_forward(x, w, b)[[3, 11]]).any()
+
+
 def test_relu_example():
     assert np.array_equal(tc.relu_forward(np.array([-1.0, 0.0, 2.0])),
                           np.array([0.0, 0.0, 2.0]))
@@ -590,6 +658,14 @@ _X = np.zeros((2, 1, 5, 5))
      "fc input width 24 does not match weight width 25"),
     (lambda: tc.fc_backward(np.zeros((2, 4)), np.zeros((2, 25)), np.zeros((3, 25))),
      "does not match output shape (2, 3)"),
+    (lambda: tc.fc_forward(np.ones((2, 3)), np.ones((4, 3)), np.ones(1)),
+     "fc bias shape (1,) does not match weights (4, 3)"),
+    (lambda: tc.fc_backward(np.ones((2, 4)), np.ones((2, 5)), np.ones((4, 3))),
+     "fc input shape (2, 5) does not match weights (4, 3)"),
+    (lambda: tc.fc_forward(np.ones((3, 4)), np.ones((2, 4)), np.ones(2), np.ones(4)),
+     "needs an even row count"),
+    (lambda: tc.fc_forward(np.ones((2, 4)), np.ones((2, 4)), np.ones(2), np.ones(5)),
+     "a mask of 4 units, got mask shape (5,)"),
     (lambda: tc.relu_backward(np.zeros((2, 3)), np.zeros((2, 4))),
      "does not match input shape (2, 4)"),
     (lambda: tc.prelu_forward(np.zeros((2, 3)), np.zeros(4)),
@@ -601,7 +677,8 @@ _X = np.zeros((2, 1, 5, 5))
      "labels shape (3,) does not match batch size 2"),
 ], ids=["weights-rank", "non-square", "bias-length", "stride", "pad", "conv-input-rank",
         "pool-input-rank", "pool-grad-shape", "fc-input-rank", "fc-width",
-        "fc-grad-shape", "relu-grad-shape", "prelu-slope-length", "prelu-grad-shape",
+        "fc-grad-shape", "fc-bias-length", "fc-backward-width", "fc-split-odd-rows",
+        "fc-split-mask-length", "relu-grad-shape", "prelu-slope-length", "prelu-grad-shape",
         "logits-rank", "labels-shape"])
 def test_input_checks_name_the_bad_argument(call, fragment):
     with pytest.raises(DimensionError) as info:

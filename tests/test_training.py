@@ -14,6 +14,20 @@ from spinconv.layers import NetworkSpec
 from spinconv.tensor_core import softmax_cross_entropy
 
 
+README_LAYERS = [{"kind": "conv", "out_channels": 16, "kernel": 5, "pad": 2},
+                 {"kind": "relu"},
+                 {"kind": "maxpool", "window": 2, "stride": 2},
+                 {"kind": "rpc_conv", "out_channels": 32, "kernel": 3, "pad": 1,
+                  "rotate_fraction": 0.5},
+                 {"kind": "relu"},
+                 {"kind": "maxpool", "window": 2, "stride": 2},
+                 {"kind": "flatten"},
+                 {"kind": "fc", "out_features": 256},
+                 {"kind": "relu"},
+                 {"kind": "dropout", "p": 0.5, "mode": "split"},
+                 {"kind": "fc", "out_features": 10}]
+
+
 def _net(layers, input_shape=(1, 1, 4), seed=0):
     spec = NetworkSpec(input_shape=input_shape, layers=layers)
     return tr.init_weights(spec, seed=seed, dtype=np.float64)
@@ -134,6 +148,32 @@ def test_branch_count_is_two_to_the_n():
         np.testing.assert_allclose(branch["logits"], act, rtol=0, atol=1e-12)
         expected, _ = softmax_cross_entropy(act, labels)
         assert branch["loss"] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("layers", [
+    README_LAYERS,
+    [{"kind": "flatten"}] + 3 * [{"kind": "fc", "out_features": 512}, {"kind": "relu"},
+                                 {"kind": "dropout", "p": 0.5, "mode": "split"}]
+    + [{"kind": "fc", "out_features": 4}],
+], ids=["readme", "three-split-mlp"])
+def test_split_fc_forward_keeps_the_stacked_logits(layers):
+    """Each fc right after a split layer gets the split's mask and contracts
+    each half over its own columns; at batch 128 the step's float32 logits
+    are byte-equal to a walk that gives every fc an empty cache, so that it
+    multiplies the stacked input, zeroed columns included."""
+    net = tr.init_weights(NetworkSpec((1, 28, 28), layers), seed=4)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(128, 1, 28, 28)).astype(np.float32)
+    _, branches = tr.forward_training(net, x, rng.integers(0, 4, size=128))
+    for i, cache in enumerate(branches.caches):
+        if net.layers[i].kind == "fc":
+            assert ("split" in cache) == (i - 1 in net.split_layers())
+    for i in net.split_layers():
+        assert branches.caches[i + 1]["split"] is branches.masks[i]
+    act = x
+    for i, layer in enumerate(net.layers):
+        act = layer.forward(act, {"mask": branches.masks[i]} if i in branches.masks else {})
+    assert act.tobytes() == branches.logits.tobytes()
 
 
 def test_forward_refuses_inference_network():
@@ -556,19 +596,7 @@ def test_epoch_peak_memory_holds_one_step():
     step's activations outlive it. The peak was 54.0 MiB; caches kept to
     the end of the backward and through the next forward reached 71.2."""
     import tracemalloc
-    layers = [{"kind": "conv", "out_channels": 16, "kernel": 5, "pad": 2},
-              {"kind": "relu"},
-              {"kind": "maxpool", "window": 2, "stride": 2},
-              {"kind": "rpc_conv", "out_channels": 32, "kernel": 3, "pad": 1,
-               "rotate_fraction": 0.5},
-              {"kind": "relu"},
-              {"kind": "maxpool", "window": 2, "stride": 2},
-              {"kind": "flatten"},
-              {"kind": "fc", "out_features": 256},
-              {"kind": "relu"},
-              {"kind": "dropout", "p": 0.5, "mode": "split"},
-              {"kind": "fc", "out_features": 10}]
-    net = tr.init_weights(NetworkSpec((1, 28, 28), layers), seed=3)
+    net = tr.init_weights(NetworkSpec((1, 28, 28), README_LAYERS), seed=3)
     rng = np.random.default_rng(0)
     images = rng.normal(size=(256, 1, 28, 28)).astype(np.float32)
     labels = rng.integers(0, 10, 256)
